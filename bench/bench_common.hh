@@ -193,8 +193,8 @@ printHeader(const std::string &title)
 /**
  * Streaming writer for a JSON array of flat records. One field per
  * line so nondeterministic host-timing fields (wall_seconds,
- * events_per_sec) can be stripped with `grep -v` when byte-comparing
- * outputs across runs.
+ * setup_seconds, events_per_sec) can be stripped with `grep -v` when
+ * byte-comparing outputs across runs.
  */
 class JsonArrayWriter
 {
@@ -430,9 +430,10 @@ jsonPerfFields(JsonArrayWriter &w, const core::DdpModel &m,
     w.field("batch_drain_messages", r.drainedMessages);
     w.field("batch_drain_msgs_mean", r.meanMessagesPerDrain());
     // Host-timing fields last and one per line: strip with
-    //   grep -vE '"(wall_seconds|events_per_sec)"'
+    //   grep -vE '"(wall_seconds|setup_seconds|events_per_sec)"'
     // before byte-comparing across runs.
     w.field("wall_seconds", r.wallSeconds);
+    w.field("setup_seconds", r.setupSeconds);
     w.field("events_per_sec", r.eventsPerSec());
 }
 

@@ -13,6 +13,7 @@ Cluster::Cluster(const ClusterConfig &config)
       eq(config.queueImpl),
       hedgeEstimator(config.numServers)
 {
+    auto setup_start = std::chrono::steady_clock::now();
     assert(cfg.numServers >= 2 && "need at least one follower");
 
     if (sharded()) {
@@ -190,6 +191,9 @@ Cluster::Cluster(const ClusterConfig &config)
             layout, ctr, dp, std::move(hooks));
         distributor->start(eq);
     }
+    setupSecs = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - setup_start)
+                    .count();
 }
 
 Cluster::~Cluster() = default;
@@ -1263,6 +1267,7 @@ Cluster::run()
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wall_start)
             .count();
+    res.setupSeconds = setupSecs;
 
     res.counters = ctr.diff(ctr_snap);
     res.messages =

@@ -457,6 +457,8 @@ class Cluster
     /** Read/write completions while recoveringCount > 0. */
     std::uint64_t servedDuringRecoveryCount = 0;
     bool ran = false;
+    /** Host seconds the constructor took (RunResult::setupSeconds). */
+    double setupSecs = 0.0;
 
     // --- Sharded multi-group state (cfg.numShards > 0) ----------------------
     /** Nodes per replica team; == numServers in legacy mode. */

@@ -268,6 +268,9 @@ struct RunResult
     /** Host wall-clock seconds Cluster::run() took. Nondeterministic —
      *  never fold into simulated metrics or reproducibility checks. */
     double wallSeconds = 0.0;
+    /** Host wall-clock seconds the Cluster constructor took.
+     *  Nondeterministic, like wallSeconds. */
+    double setupSeconds = 0.0;
 
     /** Simulator throughput: simulated events per host second. */
     double

@@ -49,7 +49,7 @@ SetAssocCache::find(std::uint64_t addr)
     std::uint32_t set = setOf(line);
     Line *base = &lines[static_cast<std::size_t>(set) * waysPerSet];
     for (std::uint32_t w = 0; w < waysPerSet; ++w) {
-        if (base[w].valid && base[w].tag == line)
+        if (base[w].valid() && base[w].tag == line)
             return &base[w];
     }
     return nullptr;
@@ -89,7 +89,7 @@ SetAssocCache::installInRange(std::uint64_t addr, std::uint32_t way_begin,
 
     // Already present anywhere in the set: refresh LRU.
     for (std::uint32_t w = 0; w < waysPerSet; ++w) {
-        if (base[w].valid && base[w].tag == line) {
+        if (base[w].valid() && base[w].tag == line) {
             base[w].lruStamp = ++stamp;
             return;
         }
@@ -98,7 +98,7 @@ SetAssocCache::installInRange(std::uint64_t addr, std::uint32_t way_begin,
     // Prefer an invalid way in the allowed range, else evict LRU.
     Line *victim = nullptr;
     for (std::uint32_t w = way_begin; w < way_end; ++w) {
-        if (!base[w].valid) {
+        if (!base[w].valid()) {
             victim = &base[w];
             break;
         }
@@ -106,7 +106,6 @@ SetAssocCache::installInRange(std::uint64_t addr, std::uint32_t way_begin,
             victim = &base[w];
     }
     assert(victim);
-    victim->valid = true;
     victim->tag = line;
     victim->lruStamp = ++stamp;
 }
@@ -132,14 +131,14 @@ void
 SetAssocCache::invalidate(std::uint64_t addr)
 {
     if (Line *l = find(addr))
-        l->valid = false;
+        l->lruStamp = 0;
 }
 
 void
 SetAssocCache::clear()
 {
     for (auto &l : lines)
-        l.valid = false;
+        l.lruStamp = 0;
 }
 
 CacheHierarchyParams

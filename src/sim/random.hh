@@ -13,9 +13,12 @@
 #ifndef DDP_SIM_RANDOM_HH
 #define DDP_SIM_RANDOM_HH
 
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <map>
+#include <utility>
 
 namespace ddp::sim {
 
@@ -98,7 +101,7 @@ class ZipfianGenerator
     {
         assert(n > 0);
         assert(theta >= 0.0);
-        zetan = zeta(n, theta);
+        zetan = memoZeta(n, theta);
         zeta2 = zeta(2, theta);
         if (n == 1) {
             // Sole item: next() always takes the uz < 1 branch (zetan
@@ -150,6 +153,29 @@ class ZipfianGenerator
         for (std::uint64_t i = 1; i <= n; ++i)
             sum += 1.0 / std::pow(static_cast<double>(i), theta);
         return sum;
+    }
+
+    /**
+     * zeta(n, theta), computed once per distinct (n, theta) on each
+     * thread. Every client of a cluster samples the same key space, so
+     * without the memo a cluster's setup pays clients x n std::pow
+     * calls. The memo holds the exact left-to-right sum zeta() returns
+     * (never a closed-form approximation, which would shift every
+     * sampled key), and it is thread_local because SweepRunner builds
+     * clusters on several threads at once. theta is keyed by its bit
+     * pattern, which keeps the map's ordering total.
+     */
+    static double
+    memoZeta(std::uint64_t n, double theta)
+    {
+        thread_local std::map<std::pair<std::uint64_t, std::uint64_t>,
+                              double>
+            memo;
+        auto [it, fresh] = memo.try_emplace(
+            {n, std::bit_cast<std::uint64_t>(theta)}, 0.0);
+        if (fresh)
+            it->second = zeta(n, theta);
+        return it->second;
     }
 
     std::uint64_t items;

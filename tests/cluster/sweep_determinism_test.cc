@@ -58,7 +58,7 @@ TEST(SweepDeterminism, ParallelSweepMatchesSerialBitForBit)
         const cluster::RunResult &b = parallel[i];
         // Exact equality, doubles included: the simulated metrics are
         // pure functions of (config, seed). Host-timing fields
-        // (wallSeconds) are the only nondeterministic ones.
+        // (wallSeconds, setupSeconds) are the only nondeterministic ones.
         EXPECT_EQ(a.throughput, b.throughput);
         EXPECT_EQ(a.meanReadNs, b.meanReadNs);
         EXPECT_EQ(a.meanWriteNs, b.meanWriteNs);

@@ -54,14 +54,25 @@ TEST(SetAssocCache, InsertRefreshesExisting)
     EXPECT_FALSE(c.contains(1 * 64));
 }
 
+// Line address 0 has tag 0, the value every empty way also holds, so
+// these tests run it through every state change: an encoding that read
+// validity from the tag would report it present in an empty cache.
 TEST(SetAssocCache, InvalidateRemoves)
 {
     SetAssocCache c(1024, 2);
+    EXPECT_FALSE(c.contains(0)); // empty ways hold tag 0
     c.insert(0);
+    c.insert(64);
+    EXPECT_TRUE(c.contains(0));
     c.invalidate(0);
     EXPECT_FALSE(c.contains(0));
+    EXPECT_TRUE(c.contains(64));
+    EXPECT_FALSE(c.access(0));
+    c.insert(0);
+    EXPECT_TRUE(c.contains(0));
     // Invalidating an absent line is a no-op.
     c.invalidate(4096);
+    EXPECT_TRUE(c.contains(0));
 }
 
 TEST(SetAssocCache, ClearDropsEverything)
@@ -69,9 +80,52 @@ TEST(SetAssocCache, ClearDropsEverything)
     SetAssocCache c(1024, 2);
     for (std::uint64_t i = 0; i < 8; ++i)
         c.insert(i * 64);
+    EXPECT_TRUE(c.contains(0));
     c.clear();
     for (std::uint64_t i = 0; i < 8; ++i)
         EXPECT_FALSE(c.contains(i * 64));
+    EXPECT_FALSE(c.access(0));
+    c.clear(); // clearing an empty cache is a no-op
+    EXPECT_FALSE(c.contains(0));
+}
+
+TEST(SetAssocCache, RefillAfterClearUsesFreeWaysThenLru)
+{
+    // One set, 4 ways.
+    SetAssocCache c(256, 4);
+    ASSERT_EQ(c.numSets(), 1u);
+    for (std::uint64_t i = 0; i < 4; ++i)
+        c.insert(i * 64);
+    c.clear();
+
+    // Four fills land in the four freed ways: nothing is evicted.
+    for (std::uint64_t i = 4; i < 8; ++i)
+        c.insert(i * 64);
+    for (std::uint64_t i = 4; i < 8; ++i)
+        EXPECT_TRUE(c.contains(i * 64));
+    c.insert(0);
+    EXPECT_FALSE(c.contains(4 * 64)); // the fifth fill evicts the LRU
+    for (std::uint64_t i = 5; i < 8; ++i)
+        EXPECT_TRUE(c.contains(i * 64));
+    EXPECT_TRUE(c.contains(0));
+
+    // LRU order follows the refill's accesses: 5 is refreshed, so 6
+    // and then 7 go first.
+    c.access(5 * 64);
+    c.insert(8 * 64);
+    EXPECT_FALSE(c.contains(6 * 64));
+    c.insert(9 * 64);
+    EXPECT_FALSE(c.contains(7 * 64));
+    EXPECT_TRUE(c.contains(5 * 64));
+    EXPECT_TRUE(c.contains(0));
+
+    // An invalidated way is taken before the LRU line.
+    c.invalidate(8 * 64);
+    c.insert(10 * 64);
+    EXPECT_TRUE(c.contains(0)); // LRU survives
+    EXPECT_TRUE(c.contains(5 * 64));
+    EXPECT_TRUE(c.contains(9 * 64));
+    EXPECT_TRUE(c.contains(10 * 64));
 }
 
 TEST(SetAssocCache, DdioConfinedToPartition)

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <thread>
+#include <vector>
 
 #include "sim/random.hh"
 
@@ -161,4 +163,110 @@ TEST(Zipfian, SingleItemThetaOneEdge)
     ZipfianGenerator zipf(1, 1.0);
     for (int i = 0; i < 100; ++i)
         ASSERT_EQ(zipf.next(rng), 0u);
+}
+
+// --- Pinned streams and the per-thread zeta memo -----------------------------
+// Every generator over the same (n, theta) reuses one zeta(n, theta) per
+// thread. These tests pin the exact samples the sequential sum yields and
+// check the memo never mixes up two (n, theta) keys or two threads.
+
+namespace {
+
+struct ZipfCase
+{
+    std::uint64_t n;
+    double theta;
+};
+
+const ZipfCase kZipfCases[] = {
+    {100000, 0.99}, {1000, 0.5}, {10000, 1.0}, {1, 0.99}, {2, 0.99},
+};
+
+/** The first @p count samples of (n, theta) under Pcg32(42, 7). */
+std::vector<std::uint64_t>
+zipfStream(const ZipfCase &c, int count = 1000)
+{
+    ZipfianGenerator zipf(c.n, c.theta);
+    Pcg32 rng(42, 7);
+    std::vector<std::uint64_t> out;
+    for (int i = 0; i < count; ++i)
+        out.push_back(zipf.next(rng));
+    return out;
+}
+
+/** zipfStream() computed on a fresh thread, whose zeta memo is empty. */
+std::vector<std::uint64_t>
+freshZipfStream(const ZipfCase &c)
+{
+    std::vector<std::uint64_t> out;
+    std::thread([&] { out = zipfStream(c); }).join();
+    return out;
+}
+
+} // namespace
+
+TEST(Zipfian, PinnedStreams)
+{
+    const std::vector<std::uint64_t> expected[] = {
+        {144, 1474, 6, 22678, 2099, 205, 994, 8645, 1744, 10, 1, 8314},
+        {216, 423, 48, 766, 461, 242, 383, 632, 441, 66, 10, 627},
+        {41, 280, 3, 2795, 376, 55, 202, 1233, 322, 5, 0, 1193},
+        {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+        {0, 0, 0, 1, 1, 0, 0, 1, 0, 0, 0, 1},
+    };
+    for (std::size_t i = 0; i < std::size(kZipfCases); ++i) {
+        const ZipfCase &c = kZipfCases[i];
+        SCOPED_TRACE("n " + std::to_string(c.n) + " theta " +
+                     std::to_string(c.theta));
+        // Twice: the second generator takes zeta from the memo.
+        for (int round = 0; round < 2; ++round)
+            EXPECT_EQ(zipfStream(c, 12), expected[i]);
+    }
+}
+
+TEST(Zipfian, InterleavedKeysMatchFreshGenerators)
+{
+    std::vector<std::vector<std::uint64_t>> fresh;
+    for (const ZipfCase &c : kZipfCases)
+        fresh.push_back(freshZipfStream(c));
+
+    // Alternate between keys that share n or theta, so a memo keyed on
+    // only one of them would hand a generator the wrong zeta.
+    const ZipfCase mixed[] = {{1000, 0.99}, {1000, 0.5}, {100000, 0.5},
+                              {100000, 0.99}, {10000, 0.99}};
+    for (int round = 0; round < 3; ++round) {
+        for (std::size_t i = 0; i < std::size(kZipfCases); ++i) {
+            ZipfianGenerator decoy(mixed[i].n, mixed[i].theta);
+            EXPECT_EQ(zipfStream(kZipfCases[i]), fresh[i])
+                << "case " << i << " round " << round;
+        }
+    }
+}
+
+TEST(Zipfian, ConcurrentConstructionMatches)
+{
+    std::vector<std::vector<std::uint64_t>> expected;
+    for (const ZipfCase &c : kZipfCases)
+        expected.push_back(zipfStream(c));
+
+    constexpr std::size_t kThreads = 4;
+    const std::size_t cases = std::size(kZipfCases);
+    std::vector<std::vector<std::vector<std::uint64_t>>> got(kThreads);
+    std::vector<std::thread> workers;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        workers.emplace_back([&, t] {
+            // Each thread visits the keys in its own rotated order.
+            got[t].resize(cases);
+            for (std::size_t k = 0; k < cases; ++k) {
+                std::size_t i = (k + t) % cases;
+                got[t][i] = zipfStream(kZipfCases[i]);
+            }
+        });
+    }
+    for (std::thread &w : workers)
+        w.join();
+    for (std::size_t t = 0; t < kThreads; ++t)
+        for (std::size_t i = 0; i < cases; ++i)
+            EXPECT_EQ(got[t][i], expected[i])
+                << "thread " << t << " case " << i;
 }

@@ -10,10 +10,10 @@ Usage: validate_bench_json.py FILE.json [FILE.json ...]
 
 Every file must hold a JSON array of records with schema
 "ddp-bench-v1". Records describing cluster runs (they carry "model")
-must include the scheduler/wire-batching counters; records from the
-bench_sim_hotpath occupancy sweep must include occupancy and
-queue_impl. google-benchmark's own output files (they carry
-"benchmarks") are only checked for well-formedness.
+must include the scheduler/wire-batching counters and a non-negative
+setup_seconds; records from the bench_sim_hotpath occupancy sweep must
+include occupancy and queue_impl. google-benchmark's own output files
+(they carry "benchmarks") are only checked for well-formedness.
 """
 
 import json
@@ -186,6 +186,10 @@ def check_file(path):
         require(path, i, rec, "events_per_sec", (int, float, type(None)))
         if "model" in rec:
             require(path, i, rec, "events_executed", (int,))
+            # Host-timing: the Cluster constructor's wall time.
+            setup = require(path, i, rec, "setup_seconds", (int, float))
+            if setup < 0:
+                fail(path, i, f"negative setup_seconds ({setup})")
             check_counters(path, i, rec)
             check_tenants(path, i, rec)
             check_shards(path, i, rec)
