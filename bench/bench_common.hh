@@ -339,6 +339,7 @@ jsonPerfFields(JsonArrayWriter &w, const core::DdpModel &m,
     w.field("messages", r.messages);
     w.field("persists", r.persistsIssued);
     w.field("events_executed", r.eventsExecuted);
+    w.field("peak_pending_events", r.peakPendingEvents);
     // Per-phase latency breakdown (reads + writes pooled). The phase
     // means sum to the pooled mean latency: per request, phase spans
     // sum exactly to end-to-end latency (asserted in recordOp).

@@ -1,7 +1,7 @@
 /**
  * @file
  * A/B microbenchmarks of the event-loop hot path, quantifying the
- * kernel overhaul (inline small-buffer callbacks, explicit binary
+ * kernel overhaul (inline small-buffer callbacks, explicit 4-ary
  * heap, generation-tagged timer slots) against a faithful replica of
  * the previous kernel (std::function callbacks, std::priority_queue,
  * unordered_set timer bookkeeping). The `legacy_` / `current_`
@@ -15,7 +15,7 @@
  * paper-configuration run — the number the sweep summaries print.
  *
  * The `Hold` benchmarks A/B the two scheduler structures behind
- * sim::EventQueue (binary heap vs Brown calendar queue) under the
+ * sim::EventQueue (4-ary heap vs Brown calendar queue) under the
  * classic hold model — steady state at a fixed pending-event count —
  * across occupancies of 1k/10k/100k. The same sweep is reproducible
  * without google-benchmark's harness from this one binary:

@@ -1258,6 +1258,7 @@ Cluster::run()
             static_cast<double>(phaseLat[p].p95()) / sim::kNanosecond;
     }
     res.eventsExecuted = eq.executedEvents();
+    res.peakPendingEvents = eq.peakPendingEvents();
     res.queueImpl = sim::queueImplName(eq.impl());
     res.doorbellDrains = sumFabrics(
         [](const net::Fabric &f) { return f.doorbellDrains(); });

@@ -111,7 +111,7 @@ struct ClusterConfig
     /**
      * Scheduler structure of the cluster's EventQueue. Both structures
      * execute events in the identical deterministic (when, seq) order,
-     * so this is purely a host-performance knob: the binary heap wins
+     * so this is purely a host-performance knob: the 4-ary heap wins
      * at low pending-event counts, the calendar queue at high
      * occupancy (see DESIGN.md decision 15 for the crossover).
      */

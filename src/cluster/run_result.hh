@@ -250,6 +250,11 @@ struct RunResult
     std::uint64_t doorbellDrains = 0;
     /** Messages those drains delivered (>= doorbellDrains). */
     std::uint64_t drainedMessages = 0;
+    /** Most events pending at once, start to end (sampled at every
+     *  push). It depends on the delivery mechanism (batched rings hold
+     *  fewer events), so it is JSON-only: CSV is byte-compared batched
+     *  vs unbatched. */
+    std::uint64_t peakPendingEvents = 0;
 
     /** Mean messages delivered per doorbell drain (batching efficacy;
      *  1.0 = no coalescing happened, 0 when batching is off). */

@@ -21,7 +21,8 @@ PhiAccrualDetector::PhiAccrualDetector(std::uint32_t num_peers)
 
 PhiAccrualDetector::PhiAccrualDetector(std::uint32_t num_peers,
                                        Tuning tuning)
-    : tuning(tuning), peers(num_peers)
+    : tuning(tuning), peers(num_peers),
+      heartbeatMaySuspect(tuning.suspectPhi <= -std::log10(0.5))
 {
     assert(tuning.windowSize > 0);
     assert(tuning.trustPhi < tuning.suspectPhi &&
@@ -59,8 +60,12 @@ PhiAccrualDetector::heartbeat(NodeId peer, sim::Tick now)
         observe(peer, now - p.lastHeard);
     p.lastHeard = now;
     p.heard = true;
-    // Fresh traffic is the evidence that rehabilitates a suspect.
-    suspected(peer, now);
+    // Fresh traffic is the evidence that rehabilitates a suspect. A
+    // trusted peer needs no verdict: at elapsed 0 the normal tail is
+    // >= 0.5 (z <= 0), so phi <= -log10(0.5) (or NaN for a degenerate
+    // all-zero window), which cannot reach a suspectPhi above that.
+    if (p.suspectedNow || heartbeatMaySuspect)
+        suspected(peer, now);
 }
 
 void

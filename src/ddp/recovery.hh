@@ -172,6 +172,10 @@ class PhiAccrualDetector
 
     Tuning tuning;
     std::vector<PeerState> peers;
+    /** suspectPhi is at or below the largest phi a heartbeat can see
+     *  (-log10(0.5), at elapsed 0), so heartbeats must judge trusted
+     *  peers too. False at the default suspectPhi of 8.0. */
+    bool heartbeatMaySuspect;
     std::uint64_t suspectCount = 0;
     std::uint64_t trustCount = 0;
 };

@@ -157,30 +157,93 @@ EventQueue::calResize(std::size_t nbuckets)
 }
 
 // --------------------------------------------------------------------------
+// 4-ary heap backend
+// --------------------------------------------------------------------------
+//
+// Both sifts move a "hole" instead of swapping: each level costs one
+// 24-byte copy, and the sifted key is written once at the end.
+
+void
+EventQueue::heapPush(const HeapItem &item)
+{
+    std::size_t hole = events.size();
+    events.push_back(item);
+    HeapItem *h = events.data();
+    while (hole > 0) {
+        std::size_t parent = (hole - 1) / 4;
+        if (!keyBefore(item, h[parent]))
+            break;
+        h[hole] = h[parent];
+        hole = parent;
+    }
+    h[hole] = item;
+}
+
+EventQueue::HeapItem
+EventQueue::heapPop()
+{
+    HeapItem *h = events.data();
+    HeapItem top = h[0];
+    HeapItem last = events.back();
+    events.pop_back();
+    std::size_t n = events.size();
+    if (n == 0)
+        return top;
+    std::size_t hole = 0;
+    for (;;) {
+        std::size_t c = 4 * hole + 1;
+        std::size_t m;
+        if (c + 3 < n) {
+            // Full family: the smallest of four as a min of two pairs.
+            // Each pick is index arithmetic on a compare result, never
+            // a jump: which child wins is a coin flip to a predictor.
+            std::size_t a = c + keyBefore(h[c + 1], h[c]);
+            std::size_t b = c + 2 + keyBefore(h[c + 3], h[c + 2]);
+            m = a + ((b - a) & (std::size_t(0) - keyBefore(h[b], h[a])));
+        } else if (c < n) {
+            // The one partial family at the bottom edge.
+            m = c;
+            for (std::size_t k = c + 1; k < n; ++k)
+                if (keyBefore(h[k], h[m]))
+                    m = k;
+        } else {
+            break;
+        }
+        if (!keyBefore(h[m], last))
+            break;
+        h[hole] = h[m];
+        hole = m;
+    }
+    h[hole] = last;
+    return top;
+}
+
+// --------------------------------------------------------------------------
 // Common scheduling paths
 // --------------------------------------------------------------------------
 
 void
 EventQueue::pushEvent(Tick when, std::uint64_t seq, TimerId timer,
-                      EventFn fn)
+                      EventFn &&fn)
 {
     std::uint32_t slot;
     if (!freeEventSlots.empty()) {
         slot = freeEventSlots.back();
         freeEventSlots.pop_back();
-        eventSlots[slot].timer = timer;
-        eventSlots[slot].fn = std::move(fn);
     } else {
-        slot = static_cast<std::uint32_t>(eventSlots.size());
-        eventSlots.push_back(EventSlot{timer, std::move(fn)});
+        slot = slotCount++;
+        if ((slot >> kSlotChunkLg) == slotChunks.size())
+            slotChunks.push_back(std::make_unique<EventSlot[]>(kSlotChunk));
     }
+    EventSlot &cell = slotAt(slot);
+    cell.timer = timer;
+    cell.fn = std::move(fn);
     HeapItem item{when, seq, slot};
-    if (_impl == QueueImpl::BinaryHeap) {
-        events.push_back(item);
-        std::push_heap(events.begin(), events.end(), entryAfter);
-    } else {
+    if (_impl == QueueImpl::BinaryHeap)
+        heapPush(item);
+    else
         calInsert(item, /*may_resize=*/true);
-    }
+    peakPending = std::max(peakPending, pendingEvents());
 }
 
 const EventQueue::HeapItem *
@@ -198,12 +261,8 @@ EventQueue::peekItem()
 EventQueue::HeapItem
 EventQueue::popItem()
 {
-    if (_impl == QueueImpl::BinaryHeap) {
-        std::pop_heap(events.begin(), events.end(), entryAfter);
-        HeapItem item = events.back();
-        events.pop_back();
-        return item;
-    }
+    if (_impl == QueueImpl::BinaryHeap)
+        return heapPop();
     if (calCachedBucket == kNoBucket)
         calFindMin();
     std::vector<HeapItem> &b = calBuckets[calCachedBucket];
@@ -303,16 +362,34 @@ EventQueue::purgeCancelled()
         return;
     for (const HeapItem *top = peekItem(); top != nullptr;
          top = peekItem()) {
-        TimerId timer = eventSlots[top->slot].timer;
+        TimerId timer = slotAt(top->slot).timer;
         if (timer == kNoTimer || timerPending(timer))
             return;
         HeapItem item = popItem();
-        eventSlots[item.slot].fn = EventFn(); // drop the callback
+        slotAt(item.slot).fn = EventFn(); // drop the callback
         freeEventSlots.push_back(item.slot);
         retireTimer(timer);
         assert(cancelledPending > 0);
         --cancelledPending;
     }
+}
+
+void
+EventQueue::fireNext()
+{
+    HeapItem item = popItem();
+    assert(item.when >= _now);
+    _now = item.when;
+    ++executed;
+    EventSlot &cell = slotAt(item.slot);
+    if (cell.timer != kNoTimer)
+        retireTimer(cell.timer);
+    // Run the callback in place. Its cell cannot move (chunked slab)
+    // or be recycled (it joins the free list only afterwards), however
+    // many events fn schedules.
+    cell.fn();
+    cell.fn = EventFn();
+    freeEventSlots.push_back(item.slot);
 }
 
 bool
@@ -321,19 +398,7 @@ EventQueue::step()
     purgeCancelled();
     if (storedEvents() == 0)
         return false;
-
-    HeapItem item = popItem();
-    assert(item.when >= _now);
-    _now = item.when;
-    ++executed;
-    // Move the callback out before running it: fn may push new events
-    // that recycle this very slot.
-    TimerId timer = eventSlots[item.slot].timer;
-    EventFn fn = std::move(eventSlots[item.slot].fn);
-    freeEventSlots.push_back(item.slot);
-    if (timer != kNoTimer)
-        retireTimer(timer);
-    fn();
+    fireNext();
     return true;
 }
 
@@ -353,7 +418,7 @@ EventQueue::runUntil(Tick limit)
         const HeapItem *top = peekItem();
         if (top == nullptr || top->when > limit)
             break;
-        step();
+        fireNext();
     }
     runLimit = kTickNever;
     if (_now < limit)
@@ -364,7 +429,8 @@ void
 EventQueue::clear()
 {
     events.clear();
-    eventSlots.clear();
+    slotChunks.clear();
+    slotCount = 0;
     freeEventSlots.clear();
     timerSlots.clear();
     freeTimerSlots.clear();

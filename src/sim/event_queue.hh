@@ -13,11 +13,15 @@
  *    live inside the event slab instead of costing a malloc per event;
  *  - the priority queue is indirect: callbacks are parked in a
  *    free-listed slab and the scheduler structure sifts only trivially
- *    copyable 24-byte (when, seq, slot) keys;
+ *    copyable 24-byte (when, seq, slot) keys. The slab is chunked, so
+ *    cells never move: a callback is moved once, into its cell, and
+ *    runs there;
  *  - two interchangeable scheduler structures sit behind the same
  *    interface, chosen at construction time (QueueImpl):
- *      * an explicitly-owned binary heap (std::vector + std::push_heap/
- *        std::pop_heap) — O(log n), best at low occupancy;
+ *      * a hand-written 4-ary min-heap over a std::vector — O(log n)
+ *        with half the levels of a binary heap, a branch-free key
+ *        compare and hole-based sifts (DESIGN.md decision 19); best at
+ *        the low-thousands occupancy cluster runs see;
  *      * a Brown calendar queue — O(1) amortized enqueue/dequeue, best
  *        once tens of thousands of events are pending (see DESIGN.md
  *        decision 15 for the measured crossover). Both structures order
@@ -39,6 +43,7 @@
 #define DDP_SIM_EVENT_QUEUE_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sim/inline_fn.hh"
@@ -62,7 +67,9 @@ constexpr TimerId kNoTimer = 0;
 /** Scheduler structure behind the EventQueue interface. */
 enum class QueueImpl : std::uint8_t
 {
-    /** Indirect binary heap (the PR 3 kernel). */
+    /** Indirect 4-ary min-heap. The enumerator (and its JSON name
+     *  "binary_heap") predates the switch from a binary to a 4-ary
+     *  heap and is kept so configs and records stay comparable. */
     BinaryHeap,
     /** Brown calendar queue: O(1) amortized at high occupancy. */
     CalendarQueue,
@@ -100,6 +107,9 @@ class EventQueue
 
     /** Total number of events executed so far. */
     std::uint64_t executedEvents() const { return executed; }
+
+    /** High-water mark of pendingEvents(), sampled at every push. */
+    std::size_t peakPendingEvents() const { return peakPending; }
 
     /**
      * Schedule @p fn to run at absolute time @p when.
@@ -198,12 +208,13 @@ class EventQueue
      */
     void runUntil(Tick limit);
 
-    /** Drop every pending event (used to tear down experiments). */
+    /** Drop every pending event (used to tear down experiments). Not
+     *  callable from inside a running event. */
     void clear();
 
   private:
     /** Scheduler key: trivially copyable, so sifting never touches the
-     *  callback slab. @c slot indexes eventSlots. */
+     *  callback slab. @c slot indexes the event slab. */
     struct HeapItem
     {
         Tick when;
@@ -211,7 +222,8 @@ class EventQueue
         std::uint32_t slot;
     };
 
-    /** Slab cell holding one pending event's payload. */
+    /** Slab cell holding one pending event's payload. It stays at the
+     *  same address from schedule until its callback has returned. */
     struct EventSlot
     {
         TimerId timer = kNoTimer;
@@ -230,20 +242,16 @@ class EventQueue
         bool live = false;
     };
 
-    /** Strict total event order: (when, seq), seqs unique. */
+    /**
+     * Strict total event order: (when, seq), seqs unique. Evaluated
+     * without short-circuiting, so heapPop() can fold the result into
+     * index arithmetic instead of a data-dependent branch.
+     */
     static bool
     keyBefore(const HeapItem &a, const HeapItem &b)
     {
-        if (a.when != b.when)
-            return a.when < b.when;
-        return a.seq < b.seq;
-    }
-
-    /** Earliest (when, seq) on top; min-heap via inverted comparison. */
-    static bool
-    entryAfter(const HeapItem &a, const HeapItem &b)
-    {
-        return keyBefore(b, a);
+        return (a.when < b.when) |
+               ((a.when == b.when) & (a.seq < b.seq));
     }
 
     static std::uint32_t
@@ -259,11 +267,18 @@ class EventQueue
     }
 
     void pushEvent(Tick when, std::uint64_t seq, TimerId timer,
-                   EventFn fn);
+                   EventFn &&fn);
     /** Earliest pending entry, or nullptr when empty. Stable until the
      *  next push/pop. */
     const HeapItem *peekItem();
     HeapItem popItem();
+    /** Pop the front entry, which must be live, and run it. */
+    void fireNext();
+    EventSlot &
+    slotAt(std::uint32_t slot)
+    {
+        return slotChunks[slot >> kSlotChunkLg][slot & (kSlotChunk - 1)];
+    }
     std::size_t
     storedEvents() const
     {
@@ -273,6 +288,10 @@ class EventQueue
     void retireTimer(TimerId id);
     /** Pop cancelled timer entries off the front of the queue. */
     void purgeCancelled();
+
+    // --- 4-ary heap backend (QueueImpl::BinaryHeap) -----------------------
+    void heapPush(const HeapItem &item);
+    HeapItem heapPop();
 
     // --- Calendar-queue backend (QueueImpl::CalendarQueue) -----------------
     std::size_t calBucketOf(Tick when) const;
@@ -286,12 +305,16 @@ class EventQueue
     void calAnchor();
 
     QueueImpl _impl;
-    std::vector<HeapItem> events; ///< BinaryHeap storage.
-    std::vector<EventSlot> eventSlots;
+    /** 4-ary heap storage: the children of index i are 4i+1 .. 4i+4. */
+    std::vector<HeapItem> events;
+    /** Event slab: fixed-size chunks, so cells never relocate. */
+    std::vector<std::unique_ptr<EventSlot[]>> slotChunks;
+    std::uint32_t slotCount = 0;
     std::vector<std::uint32_t> freeEventSlots;
     Tick _now = 0;
     std::uint64_t nextSeq = 0;
     std::uint64_t executed = 0;
+    std::size_t peakPending = 0;
     /** Horizon of the active runUntil() (kTickNever outside one):
      *  consumeIfNext() must not advance time past it, or batched
      *  drains would overrun a measurement-window boundary that
@@ -320,6 +343,8 @@ class EventQueue
     /** Bucket whose back() is the current minimum; SIZE_MAX = unknown. */
     std::size_t calCachedBucket = kNoBucket;
 
+    static constexpr std::uint32_t kSlotChunkLg = 8;
+    static constexpr std::uint32_t kSlotChunk = 1u << kSlotChunkLg;
     static constexpr std::size_t kNoBucket = ~std::size_t(0);
     static constexpr std::size_t kMinBuckets = 16;
     static constexpr Tick kInitialWidth = 4 * kNanosecond;

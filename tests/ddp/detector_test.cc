@@ -9,10 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -119,6 +121,71 @@ TEST(PhiAccrual, SilenceRaisesPhiAndHysteresisAvoidsThrash)
     EXPECT_TRUE(d.suspected(0, t + 13 * kMillisecond));
     EXPECT_TRUE(d.suspected(0, t + 14 * kMillisecond));
     EXPECT_EQ(d.suspectTransitions(), 2u);
+}
+
+TEST(PhiAccrual, HeartbeatFastPathMatchesFullVerdict)
+{
+    // heartbeat() skips the phi evaluation for trusted peers whenever
+    // suspectPhi lies above the largest phi elapsed 0 can produce.
+    // Replay one randomized trace into two detectors, forcing the full
+    // verdict on the reference after every heartbeat: verdicts and
+    // transition counts must agree at every step.
+    std::vector<PhiAccrualDetector::Tuning> tunings(4);
+    tunings[1].suspectPhi = 0.15; // below the elapsed-0 bound
+    tunings[1].trustPhi = 0.05;
+    tunings[2].suspectPhi = -std::log10(0.5); // exactly at it
+    tunings[2].trustPhi = 0.05;
+    // A tiny window fills with zero gaps: mean = sigma = 0, phi NaN.
+    tunings[3].windowSize = 4;
+    tunings[3].minSamples = 2;
+    for (std::size_t ti = 0; ti < tunings.size(); ++ti) {
+        SCOPED_TRACE("tuning " + std::to_string(ti));
+        constexpr std::uint32_t kPeers = 3;
+        PhiAccrualDetector fast(kPeers, tunings[ti]);
+        PhiAccrualDetector full(kPeers, tunings[ti]);
+        std::vector<Tick> clock(kPeers, 0);
+        std::uint64_t rng = 0x9e1f + ti;
+        auto next = [&rng] {
+            rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+            return static_cast<std::uint32_t>(rng >> 33);
+        };
+        for (int i = 0; i < 6000; ++i) {
+            NodeId peer = next() % kPeers;
+            // Alternate a regular regime (sigma near its floor, phi
+            // near 0 on arrival) with a bursty one (same-tick gaps
+            // plus long silences: sigma several times the mean, so
+            // arrival phi approaches the bound).
+            bool bursty = (i / 600) % 2 == 1;
+            std::uint32_t kind = next() % 16;
+            Tick gap = !bursty ? (8 + next() % 5) * kMicrosecond
+                       : kind < 8 ? 0
+                       : kind < 14
+                           ? (5 + next() % 10) * kMicrosecond
+                           : (200 + next() % 2000) * kMicrosecond;
+            clock[peer] += gap;
+            if (next() % 8 == 0) {
+                // A silence probe before the next arrival: how a peer
+                // becomes suspect at the default tuning, so heartbeats
+                // have suspects to rehabilitate.
+                Tick probe = clock[peer] + next() % (3 * gap + 1);
+                ASSERT_EQ(fast.suspected(peer, probe),
+                          full.suspected(peer, probe));
+                clock[peer] = probe;
+            }
+            fast.heartbeat(peer, clock[peer]);
+            full.heartbeat(peer, clock[peer]);
+            full.suspected(peer, clock[peer]);
+            ASSERT_EQ(fast.lastVerdict(peer), full.lastVerdict(peer))
+                << "step " << i;
+            ASSERT_EQ(fast.suspectTransitions(),
+                      full.suspectTransitions()) << "step " << i;
+            ASSERT_EQ(fast.trustTransitions(), full.trustTransitions())
+                << "step " << i;
+        }
+        // The trace must actually exercise both transitions.
+        EXPECT_GT(full.suspectTransitions(), 0u);
+        EXPECT_GT(full.trustTransitions(), 0u);
+    }
 }
 
 TEST(PhiAccrual, NeverHeardPeerIsNotSuspected)

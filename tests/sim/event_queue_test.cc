@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <set>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -129,6 +135,62 @@ TEST(EventQueue, ExecutedEventsCounts)
         eq.schedule(static_cast<Tick>(i), [] {});
     eq.run();
     EXPECT_EQ(eq.executedEvents(), 7u);
+}
+
+TEST(EventQueue, PeakPendingEventsIsTheHighWaterMark)
+{
+    for (QueueImpl impl : {QueueImpl::BinaryHeap, QueueImpl::CalendarQueue}) {
+        EventQueue eq(impl);
+        EXPECT_EQ(eq.peakPendingEvents(), 0u);
+        TimerId t = eq.scheduleTimer(50, [] {});
+        eq.schedule(10, [] {});
+        eq.schedule(20, [] {});
+        EXPECT_EQ(eq.peakPendingEvents(), 3u);
+        // A cancelled timer no longer counts as pending.
+        eq.cancelTimer(t);
+        eq.schedule(30, [] {});
+        EXPECT_EQ(eq.peakPendingEvents(), 3u);
+        eq.run();
+        EXPECT_EQ(eq.pendingEvents(), 0u);
+        EXPECT_EQ(eq.peakPendingEvents(), 3u) << "a high-water mark";
+    }
+}
+
+namespace {
+
+/** Closure that counts its move constructions. */
+struct MoveCounter
+{
+    int *moves;
+    int *calls;
+
+    MoveCounter(int *m, int *c) : moves(m), calls(c) {}
+    MoveCounter(MoveCounter &&o) noexcept : moves(o.moves), calls(o.calls)
+    {
+        ++*moves;
+    }
+    void operator()() { ++*calls; }
+};
+
+} // namespace
+
+TEST(EventQueue, ScheduleAndStepMoveTheClosureOnce)
+{
+    // One move builds the InlineFn argument; the kernel then moves it
+    // into its slot and runs it from there.
+    for (QueueImpl impl : {QueueImpl::BinaryHeap, QueueImpl::CalendarQueue}) {
+        EventQueue eq(impl);
+        int moves = 0;
+        int calls = 0;
+        // A fresh cell, then a recycled one.
+        for (int round = 1; round <= 2; ++round) {
+            moves = 0;
+            eq.schedule(5 * round, MoveCounter(&moves, &calls));
+            EXPECT_TRUE(eq.step());
+            EXPECT_EQ(calls, round);
+            EXPECT_EQ(moves - 1, 1) << "relocations after construction";
+        }
+    }
 }
 
 TEST(Timers, FireLikeEvents)
@@ -318,6 +380,219 @@ TEST(Timers, CancelRescheduleStress)
 // Calendar-queue structure: same interface, same observable order.
 // --------------------------------------------------------------------------
 
+namespace {
+
+/**
+ * Independent reference scheduler: a std::set of (when, seq) keys and
+ * a map from key to payload, with the EventQueue's seq allocation,
+ * timer-cancel and consumeIfNext() rules restated in the plainest
+ * form. It shares no code with either backend.
+ */
+class RefQueue
+{
+  public:
+    Tick now() const { return _now; }
+    std::uint64_t executedEvents() const { return executed; }
+    std::uint64_t allocSeq() { return nextSeq++; }
+
+    void
+    schedule(Tick when, std::function<void()> fn)
+    {
+        schedulePinned(when, nextSeq++, std::move(fn));
+    }
+
+    void
+    schedulePinned(Tick when, std::uint64_t seq, std::function<void()> fn)
+    {
+        keys.emplace(when, seq);
+        payload[{when, seq}] = {std::move(fn), 0};
+    }
+
+    TimerId
+    scheduleTimer(Tick when, std::function<void()> fn)
+    {
+        live.push_back(true);
+        std::pair<Tick, std::uint64_t> key{when, nextSeq++};
+        keys.insert(key);
+        payload[key] = {std::move(fn), live.size()};
+        return live.size();
+    }
+
+    bool
+    cancelTimer(TimerId id)
+    {
+        bool was = live[id - 1];
+        live[id - 1] = false;
+        return was;
+    }
+
+    bool
+    consumeIfNext(Tick when, std::uint64_t seq)
+    {
+        dropCancelledHead();
+        if (!keys.empty() &&
+            !(std::make_pair(when, seq) < *keys.begin()))
+            return false;
+        _now = when;
+        ++executed;
+        return true;
+    }
+
+    void
+    run()
+    {
+        for (dropCancelledHead(); !keys.empty(); dropCancelledHead()) {
+            auto key = *keys.begin();
+            keys.erase(keys.begin());
+            Entry e = std::move(payload[key]);
+            payload.erase(key);
+            if (e.timer != 0)
+                live[e.timer - 1] = false;
+            _now = key.first;
+            ++executed;
+            e.fn();
+        }
+    }
+
+  private:
+    struct Entry
+    {
+        std::function<void()> fn;
+        std::size_t timer; ///< 1-based index into live; 0 = plain
+    };
+
+    void
+    dropCancelledHead()
+    {
+        while (!keys.empty()) {
+            const Entry &e = payload[*keys.begin()];
+            if (e.timer == 0 || live[e.timer - 1])
+                return;
+            payload.erase(*keys.begin());
+            keys.erase(keys.begin());
+        }
+    }
+
+    std::set<std::pair<Tick, std::uint64_t>> keys;
+    std::map<std::pair<Tick, std::uint64_t>, Entry> payload;
+    std::vector<bool> live;
+    Tick _now = 0;
+    std::uint64_t nextSeq = 0;
+    std::uint64_t executed = 0;
+};
+
+/**
+ * Self-driving random workload over any queue with the EventQueue
+ * interface: every fired event may schedule plain events (often on the
+ * same tick), timers, cancels of earlier timers, pinned events under
+ * seqs reserved before other schedules, and doorbell-style
+ * consumeIfNext() attempts. All choices come from one splitmix stream,
+ * so two queues that pop in the same order produce the same log.
+ */
+template <typename Q>
+struct RandomDriver
+{
+    /** (now, event id, what): 0 fired, 1 consumed inline, 2/3 a
+     *  cancel that failed/succeeded. */
+    using Log = std::vector<std::tuple<Tick, int, int>>;
+
+    Q q;
+    Log log;
+    std::vector<TimerId> timers;
+    std::uint64_t rng;
+    int budget;
+    int nextId = 0;
+
+    RandomDriver(std::uint64_t seed, int initial)
+        : rng(seed), budget(2 * initial + 200)
+    {
+        for (int i = 0; i < initial; ++i)
+            q.schedule(1 + draw(997), event());
+    }
+
+    std::uint64_t draw(std::uint64_t n) { return (rng = splitmix64(rng)) % n; }
+
+    /** Mostly short gaps so same-tick FIFO ties are common. */
+    Tick
+    gap()
+    {
+        switch (draw(4)) {
+          case 0: return 0;
+          case 1: return draw(4);
+          default: return draw(500);
+        }
+    }
+
+    std::function<void()>
+    event()
+    {
+        int id = nextId++;
+        return [this, id] {
+            log.emplace_back(q.now(), id, 0);
+            act();
+        };
+    }
+
+    void
+    act()
+    {
+        for (std::uint64_t k = draw(3); k > 0 && budget > 0; --k, --budget) {
+            Tick when = q.now() + gap();
+            switch (draw(8)) {
+              case 4:
+                timers.push_back(q.scheduleTimer(when, event()));
+                break;
+              case 5:
+                if (!timers.empty()) {
+                    bool ok = q.cancelTimer(timers[draw(timers.size())]);
+                    log.emplace_back(q.now(), -1, ok ? 3 : 2);
+                }
+                break;
+              case 6: {
+                // Reserve, let a later seq in first, then materialize.
+                std::uint64_t seq = q.allocSeq();
+                q.schedule(when, event());
+                q.schedulePinned(when, seq, event());
+                break;
+              }
+              case 7: {
+                std::uint64_t seq = q.allocSeq();
+                if (q.consumeIfNext(when, seq)) {
+                    log.emplace_back(q.now(), nextId++, 1);
+                    act();
+                } else {
+                    q.schedulePinned(when, seq, event());
+                }
+                break;
+              }
+              default:
+                q.schedule(when, event());
+            }
+        }
+    }
+};
+
+template <typename Q>
+std::pair<typename RandomDriver<Q>::Log, std::uint64_t>
+driveRandom(std::uint64_t seed, int initial)
+{
+    RandomDriver<Q> d(seed, initial);
+    d.q.run();
+    return {d.log, d.q.executedEvents()};
+}
+
+struct HeapBackend : EventQueue
+{
+    HeapBackend() : EventQueue(QueueImpl::BinaryHeap) {}
+};
+
+struct CalendarBackend : EventQueue
+{
+    CalendarBackend() : EventQueue(QueueImpl::CalendarQueue) {}
+};
+
+} // namespace
+
 TEST(CalendarQueue, MatchesHeapOrderRandomized)
 {
     // Drive both structures with an identical deterministic schedule —
@@ -352,6 +627,19 @@ TEST(CalendarQueue, MatchesHeapOrderRandomized)
     auto cal = trace(QueueImpl::CalendarQueue);
     ASSERT_EQ(heap.size(), cal.size());
     EXPECT_EQ(heap, cal);
+
+    // Both backends against the std::set reference. Starting sizes
+    // cover every residue mod 4 (the heap's partial bottom family)
+    // and runs that grow past five 4-ary levels (1 + 4 + 16 + 64 +
+    // 256 = 341 entries); each run drains through every smaller size.
+    for (int initial : {1, 2, 3, 4, 5, 6, 7, 8, 85, 86, 87, 88, 342, 2000}) {
+        SCOPED_TRACE("initial " + std::to_string(initial));
+        std::uint64_t seed = 0x5eed0000u + static_cast<unsigned>(initial);
+        auto ref = driveRandom<RefQueue>(seed, initial);
+        ASSERT_GE(ref.first.size(), static_cast<std::size_t>(initial));
+        EXPECT_TRUE(driveRandom<HeapBackend>(seed, initial) == ref);
+        EXPECT_TRUE(driveRandom<CalendarBackend>(seed, initial) == ref);
+    }
 }
 
 TEST(CalendarQueue, TimerChurnStress)

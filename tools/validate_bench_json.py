@@ -10,9 +10,10 @@ Usage: validate_bench_json.py FILE.json [FILE.json ...]
 
 Every file must hold a JSON array of records with schema
 "ddp-bench-v1". Records describing cluster runs (they carry "model")
-must include the scheduler/wire-batching counters and a non-negative
-setup_seconds; records from the bench_sim_hotpath occupancy sweep must
-include occupancy and queue_impl. google-benchmark's own output files
+must include the scheduler/wire-batching counters, a non-negative
+setup_seconds and peak_pending_events (>= 1 once any event ran);
+records from the bench_sim_hotpath occupancy sweep must include
+occupancy and queue_impl. google-benchmark's own output files
 (they carry "benchmarks") are only checked for well-formedness.
 """
 
@@ -185,7 +186,17 @@ def check_file(path):
         # value (degenerate zero-wall run), so None is admissible.
         require(path, i, rec, "events_per_sec", (int, float, type(None)))
         if "model" in rec:
-            require(path, i, rec, "events_executed", (int,))
+            events = require(path, i, rec, "events_executed", (int,))
+            # Scheduler occupancy high-water mark: every executed event
+            # was pending once (consumed doorbell entries excepted, but
+            # those need a running drain, which was pending itself).
+            peak = require(path, i, rec, "peak_pending_events", (int,))
+            if peak < 0:
+                fail(path, i, f"negative peak_pending_events ({peak})")
+            if events > 0 and peak < 1:
+                fail(path, i,
+                     f"peak_pending_events {peak} with {events} events "
+                     "executed")
             # Host-timing: the Cluster constructor's wall time.
             setup = require(path, i, rec, "setup_seconds", (int, float))
             if setup < 0:
