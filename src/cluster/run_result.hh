@@ -331,10 +331,6 @@ struct RecoveryStats
     /** Individual acked writes (whole lost suffix) that did not
      *  survive this crash epoch. */
     std::uint64_t lostAckedWrites = 0;
-    /** True for the restart/re-join leg of a staged partial crash. */
-    bool restart = false;
-    /** Torn values detected + rolled back during this recovery. */
-    std::uint64_t tornDetected = 0;
     /** Keys where a restarted node diverged from survivors after
      *  re-join state transfer (restart legs only). */
     std::uint64_t convergenceFailures = 0;

@@ -2403,13 +2403,13 @@ ProtocolNode::abortInFlight()
 }
 
 void
-ProtocolNode::crashVolatile()
+ProtocolNode::crashVolatile(bool defer_scan)
 {
-    // A crash cancels any in-flight shard range acquire: drop the
-    // transfer state before abortInFlight() so it cannot re-arm the
-    // backfill timer. The full image scan below re-establishes every
-    // key, and the cluster's migration bookkeeping (which sees the
-    // crash) re-sources the range from the still-live team.
+    // A crash cancels any in-flight instant recovery or shard range
+    // acquire: drop its state before abortInFlight() so it cannot re-arm
+    // the backfill timer. The cluster's migration bookkeeping (which
+    // sees the crash) re-sources an interrupted range from the still-
+    // live team.
     instantActive = false;
     rangeAcquireActive = false;
     recoveryDoneFn = nullptr;
@@ -2422,6 +2422,41 @@ ProtocolNode::crashVolatile()
     hierarchy.crash();
     image.crash();
     clientSeqSeen.clear();
+
+    if (defer_scan) {
+        // Instant recovery's lazy scan leans on commit records: the
+        // intact version a cold-aware getter reports must be exactly
+        // what a full recover() would settle on, which only holds when
+        // recovery never installs a staged (possibly torn) copy. The
+        // ablation is rejected at the CLI; keep the invariant visible
+        // here too.
+        assert((cfg.commitRecords || cfg.valueLines == 1) &&
+               "instant recovery requires commit records");
+
+        // Defer the durable-image scan (MM-DIRECT): remember which keys
+        // had a persist frozen mid-flight and mark the whole key space
+        // cold. The per-key verified scan (recoverOnDemand) runs lazily
+        // at the first post-crash touch — request fault-in, backfill,
+        // or a new persist of the same key.
+        std::vector<KeyId> frozen = image.inflightKeys();
+        staleStaging.insert(frozen.begin(), frozen.end());
+        keyTemp.assign(keys.size(), KeyTemp::Cold);
+        coldRemaining = keys.size();
+        backfillCursor = 0;
+        instantActive = true;
+
+        // The volatile copies are gone; until a key is faulted in the
+        // cold-aware getters substitute the durable image's intact
+        // version. maxSeen survives as the version allocator's seed,
+        // as it does across an eager scan.
+        for (auto &kr : keys) {
+            kr.volatileVer = Version{};
+            kr.persistedVer = Version{};
+            kr.globalPersistVer = Version{};
+        }
+        backend->clear();
+        return;
+    }
 
     // Rebuild volatile state from what recovery actually finds in the
     // medium — NOT from the in-memory persistedVer bookkeeping, which
@@ -2457,61 +2492,11 @@ ProtocolNode::crashVolatile()
 }
 
 void
-ProtocolNode::crashVolatileInstant()
-{
-    // Instant recovery's lazy scan leans on commit records: the intact
-    // version a cold-aware getter reports must be exactly what a full
-    // recover() would settle on, which only holds when recovery never
-    // installs a staged (possibly torn) copy. The ablation is rejected
-    // at the CLI; keep the invariant visible here too.
-    assert((cfg.commitRecords || cfg.valueLines == 1) &&
-           "instant recovery requires commit records");
-
-    // If a previous instant recovery or range acquire is still
-    // draining, drop it first so abortInFlight() below does not re-arm
-    // its backfill timer; the fresh crash re-snapshots everything
-    // anyway.
-    instantActive = false;
-    rangeAcquireActive = false;
-    recoveryDoneFn = nullptr;
-    freshestFn = nullptr;
-
-    abortInFlight();
-    hierarchy.crash();
-    image.crash();
-    clientSeqSeen.clear();
-
-    // Defer the durable-image scan (MM-DIRECT): remember which keys
-    // had a persist frozen mid-flight and mark the whole key space
-    // cold. The per-key verified scan (recoverOnDemand) runs lazily at
-    // the first post-crash touch — request fault-in, backfill, or a
-    // new persist of the same key.
-    std::vector<KeyId> frozen = image.inflightKeys();
-    staleStaging.clear();
-    staleStaging.insert(frozen.begin(), frozen.end());
-    keyTemp.assign(keys.size(), KeyTemp::Cold);
-    coldRemaining = keys.size();
-    backfillCursor = 0;
-    instantActive = true;
-
-    // The volatile copies are gone; until a key is faulted in the
-    // cold-aware getters substitute the durable image's intact
-    // version. maxSeen survives as the version allocator's seed, the
-    // same convention crashVolatile() follows.
-    for (auto &kr : keys) {
-        kr.volatileVer = Version{};
-        kr.persistedVer = Version{};
-        kr.globalPersistVer = Version{};
-    }
-    backend->clear();
-}
-
-void
 ProtocolNode::beginInstantRecovery(
     std::function<Version(KeyId)> freshest, std::function<void()> done)
 {
     assert(instantActive &&
-           "beginInstantRecovery needs crashVolatileInstant first");
+           "beginInstantRecovery needs crashVolatile(true) first");
     freshestFn = std::move(freshest);
     recoveryDoneFn = std::move(done);
     ctr.add("instant_recoveries_started");

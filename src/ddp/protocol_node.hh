@@ -235,25 +235,21 @@ class ProtocolNode
     // --- Failure & recovery ------------------------------------------------
     /**
      * Lose all volatile state (caches, in-flight protocol state,
-     * unpersisted replica versions). Durable NVM contents survive.
-     * Bumps the node's epoch so stale messages and timer continuations
-     * are discarded.
+     * unpersisted replica versions, any instant recovery or range
+     * acquire in progress). Durable NVM contents survive. Bumps the
+     * node's epoch so stale messages and timer continuations are
+     * discarded. By default the durable image is scanned at once and
+     * every key rebuilt from it; with @p defer_scan the scan is
+     * deferred instead: the whole key space goes cold, keys with a
+     * persist frozen in flight are remembered, and cold keys are
+     * faulted in on demand (recoverOnDemand, checksum-verified) when a
+     * request or the background backfill first touches them after the
+     * node re-joins via beginInstantRecovery().
      */
-    void crashVolatile();
+    void crashVolatile(bool defer_scan = false);
 
     /**
-     * Lose all volatile state like crashVolatile(), but *defer* the
-     * durable-image scan: instead of replaying recover() over every
-     * key, mark the whole key space cold and remember which keys had a
-     * persist frozen in flight. Cold keys are faulted in on demand
-     * (recoverOnDemand, checksum-verified) when a request or the
-     * background backfill first touches them after the node re-joins
-     * via beginInstantRecovery().
-     */
-    void crashVolatileInstant();
-
-    /**
-     * Re-join after crashVolatileInstant(): admit requests at once,
+     * Re-join after crashVolatile(true): admit requests at once,
      * fault cold keys in on demand, and start the background backfill
      * that drains the rest of the image. @p freshest, when set, is
      * consulted per faulted key for the freshest version the live
@@ -278,7 +274,7 @@ class ProtocolNode
      * fault-in merging @p freshest — the newest version the source
      * team's live replicas hold. @p done fires when the last range key
      * has warmed. Must not overlap an instant recovery; a crash of
-     * this node cancels the acquire (crashVolatile*() drop it) and the
+     * this node cancels the acquire (crashVolatile() drops it) and the
      * cluster's recovery path takes over the transfer.
      */
     void beginRangeAcquire(

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "cluster/cluster.hh"
 
@@ -236,6 +238,66 @@ TEST(ShardCluster, MultiTeamRestartRecoversPerShard)
     EXPECT_EQ(r.lostAckedWrites, 0u);
     EXPECT_EQ(r.tornReadsServed, 0u);
 }
+
+/** One crash kind on the sharded topology. */
+struct ShardCrashCase
+{
+    const char *name;
+    RecoveryPolicy policy;
+    /** Partial-crash victims; empty = full-cluster crash. */
+    std::vector<net::NodeId> victims;
+};
+
+/** Name the case in test listings (the struct holds pointers). */
+void
+PrintTo(const ShardCrashCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+class ShardCrashKinds : public ::testing::TestWithParam<ShardCrashCase>
+{
+};
+
+TEST_P(ShardCrashKinds, StrictCrashLosesNoAckedWrite)
+{
+    // Full crashes recover per policy over every team at once; an
+    // unstaged partial crash (one victim in each team) reconciles each
+    // team in place from its survivor.
+    const ShardCrashCase &c = GetParam();
+    ClusterConfig cfg = shardConfig(
+        {Consistency::Linearizable, Persistency::Strict}, 4, 2);
+    armRebalancing(cfg);
+    cfg.recovery = c.policy;
+    core::PropertyChecker checker;
+    Cluster cluster(cfg);
+    cluster.setChecker(&checker);
+    sim::Tick at = cfg.warmup + cfg.measure / 2;
+    if (c.victims.empty())
+        cluster.scheduleCrash(at);
+    else
+        cluster.schedulePartialCrash(at, c.victims);
+    RunResult r = cluster.run();
+
+    ASSERT_GT(r.reads + r.writes, 500u);
+    EXPECT_GE(r.shardMigrations + r.shardSplits, 1u);
+    EXPECT_EQ(cluster.recoveries().size(), 1u);
+    EXPECT_EQ(r.crashEpochs, 1u);
+    EXPECT_EQ(r.lostAckedWrites, 0u)
+        << "Strict persistency promises zero acked-write loss";
+    EXPECT_EQ(r.tornReadsServed, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ShardCluster, ShardCrashKinds,
+    ::testing::Values(
+        ShardCrashCase{"FullVoting", RecoveryPolicy::Voting, {}},
+        ShardCrashCase{"FullLocalOnly", RecoveryPolicy::LocalOnly, {}},
+        ShardCrashCase{"FullInstant", RecoveryPolicy::Instant, {}},
+        ShardCrashCase{"PartialUnstaged", RecoveryPolicy::Voting, {1, 2}}),
+    [](const ::testing::TestParamInfo<ShardCrashCase> &info) {
+        return std::string(info.param.name);
+    });
 
 // --------------------------------------------------------------------------
 // Construction-time validation

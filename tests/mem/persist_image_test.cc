@@ -266,7 +266,7 @@ TEST(PersistImage, OnDemandRecoveryMatchesFullReplay)
 
 TEST(PersistImage, InflightKeysSnapshotsStagingSortedWithoutConsuming)
 {
-    // crashVolatileInstant() snapshots the crash-frozen staging set to
+    // crashVolatile(true) snapshots the crash-frozen staging set to
     // judge lazily; the listing must be sorted (determinism) and must
     // not consume the staging evidence.
     PersistImage img(8, 4, true);

@@ -2,7 +2,8 @@
 #
 # Usage:
 #   cmake -DDDPSIM=<path>
-#         -DMODE=<sweep|torture|torture_instant|trace|gray>
+#         -DMODE=<sweep|torture|torture_instant|torture_staged|trace|gray|
+#                 offered|open_loop|shard>
 #         [-DWORKDIR=<dir>] -P jobs_deterministic.cmake
 #
 # Parallel sweeps must be byte-identical to serial execution (DESIGN.md,
@@ -33,6 +34,12 @@ elseif(MODE STREQUAL "torture_instant")
     # backfill and the re-join path must all stay deterministic under
     # parallel sweep execution.
     set(args --all-models --torture 2 --recovery instant
+        --crash-nodes 1 --restart-after-us 100 ${common_args})
+elseif(MODE STREQUAL "torture_staged")
+    # Staged eager torture: a partial crash with downtime, then the
+    # bulk state transfer and convergence audit at re-join, under the
+    # default recovery policy.
+    set(args --all-models --torture 2
         --crash-nodes 1 --restart-after-us 100 ${common_args})
 elseif(MODE STREQUAL "trace")
     set(args --all-models ${common_args})
