@@ -121,6 +121,46 @@ TEST(InstantRecovery, MultiCrashEpochsAuditClean)
     EXPECT_EQ(r.tornReadsServed, 0u);
 }
 
+TEST(InstantRecovery, OverlappingCrashesEndTheRecoveryWindow)
+{
+    // A crash that lands on a node still in instant recovery cancels
+    // that recovery. The node must stop counting as recovering then,
+    // or servedDuringRecovery would count every later op. Two shapes:
+    // a second full crash 20us after the first, and a second staged
+    // crash 1us into the victim's backfill. Each recovery window is a
+    // small slice of the run.
+    auto run = [](bool full) {
+        ClusterConfig cfg =
+            baseConfig({Consistency::Linearizable, Persistency::Strict});
+        cfg.keyCount = 300;
+        cfg.workload = workload::WorkloadSpec::ycsbA(300);
+        cfg.measure = 1000 * sim::kMicrosecond;
+        cfg.clientRequestTimeout = 50 * sim::kMicrosecond;
+        cfg.node.valueLines = 4;
+        cfg.recovery = RecoveryPolicy::Instant;
+        Cluster cluster(cfg);
+        sim::Tick at = cfg.warmup + cfg.measure / 4;
+        if (full) {
+            cluster.scheduleCrash(at);
+            cluster.scheduleCrash(at + 20 * sim::kMicrosecond);
+        } else {
+            sim::Tick down = 100 * sim::kMicrosecond;
+            cluster.schedulePartialCrash(at, {1}, down);
+            cluster.schedulePartialCrash(at + down + sim::kMicrosecond,
+                                         {1}, down);
+        }
+        return cluster.run();
+    };
+    for (bool full : {true, false}) {
+        RunResult r = run(full);
+        ASSERT_GT(r.reads + r.writes, 500u);
+        EXPECT_GT(r.servedDuringRecovery, 0u) << "full=" << full;
+        EXPECT_LT(r.servedDuringRecovery, (r.reads + r.writes) / 4)
+            << "full=" << full
+            << ": a re-crashed node must leave the recovering count";
+    }
+}
+
 /** Full-crash run with a timeline; returns the RunResult. */
 RunResult
 fullCrashRun(RecoveryPolicy policy)
