@@ -64,14 +64,25 @@ Cluster::Cluster(const ClusterConfig &config)
     np.replicationFactor = cfg.replicationFactor;
     np.keyCount = cfg.keyCount;
 
+    if (sharded())
+        layout =
+            shard::ShardLayout::makeInitial(cfg.keyCount, cfg.numShards);
+
     // Global node n lives in team n / teamSize_ under team-local id
     // n % teamSize_; the protocol engine runs unmodified within its
-    // team, while checker observations carry the global id.
+    // team, while checker observations carry the global id. A sharded
+    // node provisions per-key state for its team's initial range only
+    // (range t belongs to team t); an unsharded node owns every key.
     for (std::uint32_t n = 0; n < cfg.numServers; ++n) {
         np.observerIdOffset = (n / teamSize_) * teamSize_;
+        core::KeyRange owned;
+        if (sharded()) {
+            const shard::Range &r = layout.range(n / teamSize_);
+            owned = {r.lo, r.hi};
+        }
         nodes.push_back(std::make_unique<core::ProtocolNode>(
             eq, *fabrics[n / teamSize_], n % teamSize_, np, ctr,
-            &xactTable));
+            &xactTable, owned));
     }
 
     recovering.assign(cfg.numServers, false);
@@ -171,8 +182,6 @@ Cluster::Cluster(const ClusterConfig &config)
     }
 
     if (sharded()) {
-        layout =
-            shard::ShardLayout::makeInitial(cfg.keyCount, cfg.numShards);
         teamServed.assign(cfg.numShards, 0);
         shard::DataDistributor::Params dp;
         dp.interval = cfg.shardRebalanceInterval;

@@ -15,7 +15,7 @@ using net::Version;
 ProtocolNode::ProtocolNode(sim::EventQueue &eq, net::Fabric &fabric,
                            NodeId self, const NodeParams &params,
                            stats::CounterRegistry &counters,
-                           XactConflictTable *xact_table)
+                           XactConflictTable *xact_table, KeyRange owned)
     : eq(eq),
       fabric(fabric),
       self(self),
@@ -97,6 +97,11 @@ ProtocolNode::ProtocolNode(sim::EventQueue &eq, net::Fabric &fabric,
     recovery = std::make_unique<RecoveryAgent>(self, params.numNodes,
                                                std::move(hooks),
                                                params.recoveryTuning);
+
+    // Provision the owned keys' state now rather than at first touch:
+    // the run would otherwise take those page faults instead of setup.
+    keys.provision(owned.lo, owned.hi);
+    image.provision(owned.lo, owned.hi);
 
     fabric.attach(self, [this](const Message &m) { handleMessage(m); });
 }
@@ -2371,7 +2376,9 @@ ProtocolNode::abortInFlight()
     // One slab clear() retires every parked request (all outstanding
     // waiter handles go stale); the per-key list heads reset below.
     waiterSlab.clear();
-    for (auto &kr : keys) {
+    // Only resident pages can hold anything to reset: a key whose page
+    // is absent was never written and is already in this state.
+    keys.forEachResident([](KeyId, KeyReplica &kr) {
         kr.transient = false;
         kr.transientVer = Version{};
         kr.pendingOpId = 0;
@@ -2381,7 +2388,7 @@ ProtocolNode::abortInFlight()
         kr.activeObligations.clear();
         kr.hasPendingPersist = false;
         kr.pendingObligations.clear();
-    }
+    });
 
     // A survivor still backfilling when another node crashes: the
     // epoch bump just killed its in-flight fault-in completions and
@@ -2449,11 +2456,11 @@ ProtocolNode::crashVolatile(bool defer_scan)
         // cold-aware getters substitute the durable image's intact
         // version. maxSeen survives as the version allocator's seed,
         // as it does across an eager scan.
-        for (auto &kr : keys) {
+        keys.forEachResident([](KeyId, KeyReplica &kr) {
             kr.volatileVer = Version{};
             kr.persistedVer = Version{};
             kr.globalPersistVer = Version{};
-        }
+        });
         backend->clear();
         return;
     }
@@ -2465,7 +2472,21 @@ ProtocolNode::crashVolatile(bool defer_scan)
     // values recovery must verify each key's commit record and roll
     // torn in-flight copies back to the last intact version (or, with
     // commit records ablated, install the torn copy and pay for it).
+    //
+    // A key whose state page is absent was never written here, and
+    // every write to the persist image first touches the key's state,
+    // so the image holds nothing for it either: recover() would settle
+    // on the zero version and the rebuild would reset default state to
+    // itself. Such keys skip everything but the backend erase, which
+    // stays in key order: a B-tree erase rebalances along its search
+    // path even when the key is absent.
     for (KeyId key = 0; key < keys.size(); ++key) {
+        if (!keys.pageResident(key / kKeyPageSize)) {
+            assert(!image.writing(key) &&
+                   image.intactVersion(key) == Version{});
+            backend->erase(key);
+            continue;
+        }
         KeyReplica &kr = keys[key];
         mem::PersistImage::Recovered rec = image.recover(key);
         if (rec.tornDetected) {
@@ -2515,6 +2536,8 @@ ProtocolNode::beginRangeAcquire(
     assert(lo < hi && hi <= keys.size());
     assert(!instantActive &&
            "range acquire cannot overlap an active recovery/acquire");
+    keys.provision(lo, hi);
+    image.provision(lo, hi);
 
     // Unlike a crash, the node keeps everything it has: only the
     // incoming range goes cold, no epoch bump, no volatile wipe, and

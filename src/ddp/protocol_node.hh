@@ -192,6 +192,13 @@ struct NodeParams
     sim::Tick shedInterval = 100 * sim::kMicrosecond;
 };
 
+/** The half-open key range [lo, hi); the default spans every key. */
+struct KeyRange
+{
+    net::KeyId lo = 0;
+    net::KeyId hi = ~net::KeyId{0};
+};
+
 /**
  * One server of the distributed system: worker cores, cache hierarchy,
  * DRAM + NVM, a KV store backend, and the DDP protocol state machine.
@@ -199,10 +206,17 @@ struct NodeParams
 class ProtocolNode
 {
   public:
+    /**
+     * @param owned keys the node serves from the start. Per-key state
+     *        (replica records and the persist image) is provisioned
+     *        for them here and for acquired ranges in
+     *        beginRangeAcquire(); any other key gets storage, one page
+     *        at a time, only when something writes its state.
+     */
     ProtocolNode(sim::EventQueue &eq, net::Fabric &fabric,
                  net::NodeId self, const NodeParams &params,
                  stats::CounterRegistry &counters,
-                 XactConflictTable *xact_table);
+                 XactConflictTable *xact_table, KeyRange owned = {});
 
     ProtocolNode(const ProtocolNode &) = delete;
     ProtocolNode &operator=(const ProtocolNode &) = delete;
@@ -389,6 +403,18 @@ class ProtocolNode
     std::uint64_t causalBufferPeak() const { return causalPeak; }
     /** Current causal buffer occupancy. */
     std::size_t causalBufferSize() const { return causalBuffered; }
+
+    /** Keys per page of per-key state. */
+    static constexpr std::uint64_t kKeyPageSize = std::uint64_t{1}
+                                                  << sim::kPagedArrayPageLg;
+    /** Pages of per-key state that hold storage. */
+    std::size_t residentKeyPages() const { return keys.residentPages(); }
+    /** True when page @p page (keys page * kKeyPageSize onward) of the
+     *  per-key state holds storage. */
+    bool keyPageResident(std::size_t page) const
+    {
+        return keys.pageResident(page);
+    }
 
     /** Applied-clock snapshot (Causal consistency). */
     const VectorClock &appliedClock() const { return applied; }
@@ -689,7 +715,8 @@ class ProtocolNode
     std::unique_ptr<kv::Store> backend;
     sim::ResourcePool cores;
 
-    std::vector<KeyReplica> keys;
+    /** Per-key replica state, paged by key (see KeyRange). */
+    sim::PagedArray<KeyReplica> keys;
     /**
      * All parked requests, across keys, in one free-listed slab; each
      * KeyReplica threads its own waiters through Waiter::next. A crash

@@ -1,5 +1,6 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
 #include <cassert>
 
 namespace ddp::mem {
@@ -23,7 +24,9 @@ SetAssocCache::SetAssocCache(std::uint64_t capacity_bytes,
       waysPerSet(ways),
       lineBytes(line_bytes),
       ddioWays(ddio_ways),
-      lines(static_cast<std::size_t>(sets) * ways)
+      setsMagic(~std::uint64_t{0} / sets + 1),
+      setWays(sets, nullptr),
+      chunkSets(std::min(kChunkSets, sets))
 {
     assert(ddio_ways <= ways);
 }
@@ -39,32 +42,64 @@ SetAssocCache::setOf(std::uint64_t line) const
 {
     // Multiplicative hash so strided key layouts spread over sets.
     std::uint64_t h = line * 0x9e3779b97f4a7c15ULL;
-    return static_cast<std::uint32_t>((h >> 32) % sets);
+    // (h >> 32) % sets without a division: Lemire's fastmod, exact for
+    // every 32-bit dividend and divisor. The LLC's 40,960 sets are not
+    // a power of two, so a mask would not do.
+    std::uint64_t low = setsMagic * (h >> 32);
+    return static_cast<std::uint32_t>(
+        (static_cast<unsigned __int128>(low) * sets) >> 64);
+}
+
+SetAssocCache::Lookup
+SetAssocCache::locate(std::uint64_t addr) const
+{
+    std::uint64_t line = lineAddr(addr);
+    return {line, setOf(line)};
 }
 
 SetAssocCache::Line *
-SetAssocCache::find(std::uint64_t addr)
+SetAssocCache::find(const Lookup &at) const
 {
-    std::uint64_t line = lineAddr(addr);
-    std::uint32_t set = setOf(line);
-    Line *base = &lines[static_cast<std::size_t>(set) * waysPerSet];
+    Line *base = setWays[at.set];
+    if (base == nullptr)
+        return nullptr; // untouched set: nothing to scan
     for (std::uint32_t w = 0; w < waysPerSet; ++w) {
-        if (base[w].valid() && base[w].tag == line)
+        if (base[w].valid() && base[w].tag == at.line)
             return &base[w];
     }
     return nullptr;
 }
 
-const SetAssocCache::Line *
-SetAssocCache::find(std::uint64_t addr) const
+SetAssocCache::Line *
+SetAssocCache::waysOf(std::uint32_t set)
 {
-    return const_cast<SetAssocCache *>(this)->find(addr);
+    Line *base = setWays[set];
+    if (base == nullptr) [[unlikely]]
+        base = materialize(set);
+    return base;
+}
+
+[[gnu::noinline]] SetAssocCache::Line *
+SetAssocCache::materialize(std::uint32_t set)
+{
+    std::size_t chunk = setsInUse / chunkSets;
+    if (chunk == chunks.size())
+        chunks.push_back(std::make_unique<Line[]>(
+            static_cast<std::size_t>(chunkSets) * waysPerSet));
+    Line *block = chunks[chunk].get() +
+                  (setsInUse % chunkSets) * static_cast<std::size_t>(waysPerSet);
+    // A block reused after clear() still holds its old lines.
+    std::fill(block, block + waysPerSet, Line{});
+    ++setsInUse;
+    setWays[set] = block;
+    return block;
 }
 
 bool
-SetAssocCache::access(std::uint64_t addr)
+SetAssocCache::access(std::uint64_t addr, Lookup &at)
 {
-    if (Line *l = find(addr)) {
+    at = locate(addr);
+    if (Line *l = find(at)) {
         l->lruStamp = ++stamp;
         ++hitCount;
         return true;
@@ -74,27 +109,23 @@ SetAssocCache::access(std::uint64_t addr)
 }
 
 bool
+SetAssocCache::access(std::uint64_t addr)
+{
+    Lookup at;
+    return access(addr, at);
+}
+
+bool
 SetAssocCache::contains(std::uint64_t addr) const
 {
-    return find(addr) != nullptr;
+    return find(locate(addr)) != nullptr;
 }
 
 void
-SetAssocCache::installInRange(std::uint64_t addr, std::uint32_t way_begin,
-                              std::uint32_t way_end)
+SetAssocCache::fill(const Lookup &at, std::uint32_t way_begin,
+                    std::uint32_t way_end)
 {
-    std::uint64_t line = lineAddr(addr);
-    std::uint32_t set = setOf(line);
-    Line *base = &lines[static_cast<std::size_t>(set) * waysPerSet];
-
-    // Already present anywhere in the set: refresh LRU.
-    for (std::uint32_t w = 0; w < waysPerSet; ++w) {
-        if (base[w].valid() && base[w].tag == line) {
-            base[w].lruStamp = ++stamp;
-            return;
-        }
-    }
-
+    Line *base = waysOf(at.set);
     // Prefer an invalid way in the allowed range, else evict LRU.
     Line *victim = nullptr;
     for (std::uint32_t w = way_begin; w < way_end; ++w) {
@@ -106,8 +137,27 @@ SetAssocCache::installInRange(std::uint64_t addr, std::uint32_t way_begin,
             victim = &base[w];
     }
     assert(victim);
-    victim->tag = line;
+    victim->tag = at.line;
     victim->lruStamp = ++stamp;
+}
+
+void
+SetAssocCache::fillMiss(const Lookup &at)
+{
+    fill(at, 0, waysPerSet);
+}
+
+void
+SetAssocCache::installInRange(std::uint64_t addr, std::uint32_t way_begin,
+                              std::uint32_t way_end)
+{
+    Lookup at = locate(addr);
+    // Already present anywhere in the set: refresh LRU.
+    if (Line *l = find(at)) {
+        l->lruStamp = ++stamp;
+        return;
+    }
+    fill(at, way_begin, way_end);
 }
 
 void
@@ -130,15 +180,19 @@ SetAssocCache::insertDdio(std::uint64_t addr)
 void
 SetAssocCache::invalidate(std::uint64_t addr)
 {
-    if (Line *l = find(addr))
+    if (Line *l = find(locate(addr)))
         l->lruStamp = 0;
 }
 
 void
 SetAssocCache::clear()
 {
-    for (auto &l : lines)
-        l.lruStamp = 0;
+    // Every set goes back to untouched; the chunks stay allocated and
+    // their blocks are handed out again (re-zeroed) as sets refill.
+    if (setsInUse == 0)
+        return;
+    std::fill(setWays.begin(), setWays.end(), nullptr);
+    setsInUse = 0;
 }
 
 CacheHierarchyParams
@@ -163,21 +217,25 @@ CacheHierarchy::CacheHierarchy(const CacheHierarchyParams &params)
 CacheHierarchy::AccessResult
 CacheHierarchy::access(std::uint64_t addr)
 {
-    if (l1Cache.access(addr))
+    // Each level locates and scans its set once. A level that missed is
+    // filled from its own lookup: the levels below touch other caches,
+    // so the missed set is unchanged and the line is still absent.
+    SetAssocCache::Lookup a1, a2, a3;
+    if (l1Cache.access(addr, a1))
         return {cfg.l1Latency, true};
-    if (l2Cache.access(addr)) {
-        l1Cache.insert(addr);
+    if (l2Cache.access(addr, a2)) {
+        l1Cache.fillMiss(a1);
         return {cfg.l2Latency, true};
     }
-    if (llcCache.access(addr)) {
-        l2Cache.insert(addr);
-        l1Cache.insert(addr);
+    if (llcCache.access(addr, a3)) {
+        l2Cache.fillMiss(a2);
+        l1Cache.fillMiss(a1);
         return {cfg.llcLatency, true};
     }
     // Full miss: fill all levels; memory latency charged by caller.
-    llcCache.insert(addr);
-    l2Cache.insert(addr);
-    l1Cache.insert(addr);
+    llcCache.fillMiss(a3);
+    l2Cache.fillMiss(a2);
+    l1Cache.fillMiss(a1);
     return {cfg.llcLatency, false};
 }
 

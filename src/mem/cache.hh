@@ -13,6 +13,7 @@
 #define DDP_MEM_CACHE_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sim/ticks.hh"
@@ -22,6 +23,14 @@ namespace ddp::mem {
 /**
  * A set-associative cache directory with LRU replacement. Tracks
  * presence only (no data), which is all the timing model needs.
+ *
+ * A set's ways are materialized on its first install: until then the
+ * set-table entry is null and every lookup in the set is a miss with
+ * no scan. Way blocks are handed out from fixed-size chunks allocated
+ * on demand, so a node's directory costs memory in proportion to the
+ * sets it touched, not to the cache's capacity. A fresh block is
+ * all-invalid, exactly like an untouched set of a dense directory, so
+ * LRU and victim order do not depend on when a set was materialized.
  */
 class SetAssocCache
 {
@@ -36,8 +45,30 @@ class SetAssocCache
     SetAssocCache(std::uint64_t capacity_bytes, std::uint32_t ways,
                   std::uint32_t line_bytes = 64, std::uint32_t ddio_ways = 0);
 
+    /**
+     * Where a lookup landed: the line address and its set. A miss
+     * passes it to fillMiss(), which installs without scanning the set
+     * again.
+     */
+    struct Lookup
+    {
+        std::uint64_t line = 0;
+        std::uint32_t set = 0;
+    };
+
     /** Look up @p addr; updates LRU on hit. @return true on hit. */
     bool access(std::uint64_t addr);
+
+    /** access() that also reports the lookup for a later fillMiss(). */
+    bool access(std::uint64_t addr, Lookup &at);
+
+    /**
+     * Install the line that access(addr, @p at) just missed, using any
+     * way. The set must not have changed since that access: the line
+     * is known to be absent, so the presence scan of insert() is
+     * skipped.
+     */
+    void fillMiss(const Lookup &at);
 
     /** Non-mutating presence probe. */
     bool contains(std::uint64_t addr) const;
@@ -61,6 +92,9 @@ class SetAssocCache
     std::uint64_t misses() const { return missCount; }
     std::uint32_t numSets() const { return sets; }
     std::uint32_t numWays() const { return waysPerSet; }
+    /** Sets whose ways are materialized (installed into since the
+     *  last clear()). */
+    std::size_t residentSets() const { return setsInUse; }
 
     /** Drop all lines (crash of volatile state). */
     void clear();
@@ -81,10 +115,20 @@ class SetAssocCache
     };
     static_assert(sizeof(Line) == 16);
 
+    /** Sets per way-block chunk. */
+    static constexpr std::uint32_t kChunkSets = 256;
+
     std::uint64_t lineAddr(std::uint64_t addr) const;
     std::uint32_t setOf(std::uint64_t line) const;
-    Line *find(std::uint64_t addr);
-    const Line *find(std::uint64_t addr) const;
+    Lookup locate(std::uint64_t addr) const;
+    Line *find(const Lookup &at) const;
+    /** The set's ways, materializing an all-invalid block if absent. */
+    Line *waysOf(std::uint32_t set);
+    Line *materialize(std::uint32_t set);
+    /** Stamp @p at's line into the first invalid (else LRU) way of
+     *  [way_begin, way_end) of its set. */
+    void fill(const Lookup &at, std::uint32_t way_begin,
+              std::uint32_t way_end);
     void installInRange(std::uint64_t addr, std::uint32_t way_begin,
                         std::uint32_t way_end);
 
@@ -92,7 +136,17 @@ class SetAssocCache
     std::uint32_t waysPerSet;
     std::uint32_t lineBytes;
     std::uint32_t ddioWays;
-    std::vector<Line> lines;
+    /** Exact 32-bit fastmod constant for sets: 2^64 / sets, rounded up. */
+    std::uint64_t setsMagic;
+    /** Per set: its ways, or nullptr while the set is untouched. */
+    std::vector<Line *> setWays;
+    /** Way blocks, kChunkSets sets per chunk, allocated on demand and
+     *  reused after clear(). */
+    std::vector<std::unique_ptr<Line[]>> chunks;
+    std::uint32_t chunkSets;
+    /** Blocks handed out; the next one comes from chunk
+     *  setsInUse / chunkSets. */
+    std::size_t setsInUse = 0;
     std::uint64_t stamp = 0;
     std::uint64_t hitCount = 0;
     std::uint64_t missCount = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace ddp::mem {
 
@@ -129,13 +130,16 @@ PersistImage::Recovered
 PersistImage::recover(net::KeyId key)
 {
     assert(key < keys.size());
-    KeyImage &ki = keys[key];
     Recovered out;
-    out.version = ki.intact;
-
     auto it = inflight.find(key);
-    if (it == inflight.end())
+    if (it == inflight.end()) {
+        // Read-only when nothing was in flight, so recovering a key
+        // whose page is absent allocates nothing.
+        out.version = std::as_const(keys)[key].intact;
         return out;
+    }
+    KeyImage &ki = keys[key];
+    out.version = ki.intact;
     Staging s = std::move(it->second);
     inflight.erase(it);
 

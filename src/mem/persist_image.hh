@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "net/message.hh"
+#include "sim/arena.hh"
 
 namespace ddp::mem {
 
@@ -48,9 +49,16 @@ class PersistImage
      * @param commit_records  model per-value commit records; when
      *                        false, recovery trusts the newest version
      *                        tag found in the lines (torn installs)
+     *
+     * Per-key records are paged: a page holds storage once provision()
+     * covers it or a write lands in it. A key whose page is absent
+     * reads as never written (zero intact version, nothing in flight).
      */
     PersistImage(std::uint64_t key_count, std::uint32_t lines_per_value,
                  bool commit_records);
+
+    /** Give the records of keys [lo, hi) storage now. */
+    void provision(net::KeyId lo, net::KeyId hi) { keys.provision(lo, hi); }
 
     std::uint32_t linesPerValue() const { return linesTotal; }
     bool commitRecords() const { return useCommitRecords; }
@@ -171,7 +179,7 @@ class PersistImage
 
     std::uint32_t linesTotal;
     bool useCommitRecords;
-    std::vector<KeyImage> keys;
+    sim::PagedArray<KeyImage> keys;
     /** Only keys with an in-flight multi-line persist have an entry. */
     std::unordered_map<net::KeyId, Staging> inflight;
 

@@ -1,6 +1,7 @@
 /**
  * @file
- * Free-listed slab arena with generation-tagged handles.
+ * Free-listed slab arena with generation-tagged handles, and a
+ * key-indexed array materialized page by page.
  *
  * ChunkedSlab allocates objects of one type from fixed-size chunks and
  * hands out 64-bit handles instead of pointers: the low 32 bits are the
@@ -23,6 +24,7 @@
 #ifndef DDP_SIM_ARENA_HH
 #define DDP_SIM_ARENA_HH
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -196,6 +198,156 @@ class ChunkedSlab
     std::vector<std::uint32_t> freeList;
     std::size_t cellCount = 0;
     std::size_t liveCells = 0;
+};
+
+/**
+ * A fixed-size, index-addressed array whose storage exists only for the
+ * pages somebody provisioned or wrote.
+ *
+ * Element i lives in page i >> PageLg. A page is materialized either by
+ * provision(), which covers a whole index range with one contiguous
+ * block (provisioning every index is a single allocation, like a dense
+ * vector), or by the first mutable access to one of its elements. A
+ * const access to an element of an absent page returns a shared
+ * default-constructed T and allocates nothing, so an absent page reads
+ * exactly like a provisioned page nobody has written. Elements never
+ * move: references survive any number of later materializations.
+ */
+/** log2 of the elements per page of a PagedArray, unless overridden. */
+inline constexpr unsigned kPagedArrayPageLg = 8;
+
+template <typename T, unsigned PageLg = kPagedArrayPageLg>
+class PagedArray
+{
+  public:
+    static constexpr std::uint64_t kPageSize = std::uint64_t(1) << PageLg;
+
+    explicit PagedArray(std::uint64_t size)
+        : count(size), pages((size + kPageSize - 1) >> PageLg, nullptr)
+    {
+    }
+
+    /** Number of elements (materialized or not). */
+    std::uint64_t size() const { return count; }
+    std::size_t numPages() const { return pages.size(); }
+    /** Pages that hold storage. */
+    std::size_t residentPages() const { return resident; }
+    /** True when @p page (an index into the page table) holds storage. */
+    bool pageResident(std::size_t page) const
+    {
+        return pages[page] != nullptr;
+    }
+
+    /** Materialize every page overlapping [lo, hi). */
+    void
+    provision(std::uint64_t lo, std::uint64_t hi)
+    {
+        hi = std::min(hi, count);
+        if (lo >= hi)
+            return;
+        std::size_t p = lo >> PageLg;
+        const std::size_t end = ((hi - 1) >> PageLg) + 1;
+        while (p < end) {
+            if (pages[p] != nullptr) {
+                ++p;
+                continue;
+            }
+            std::size_t run = p + 1;
+            while (run < end && pages[run] == nullptr)
+                ++run;
+            allocate(p, run);
+            p = run;
+        }
+    }
+
+    /** Element @p i, materializing its page on first touch. */
+    T &
+    operator[](std::uint64_t i)
+    {
+        assert(i < count);
+        T *page = pages[i >> PageLg];
+        if (page == nullptr) [[unlikely]]
+            page = materialize(i >> PageLg);
+        return page[i & (kPageSize - 1)];
+    }
+
+    /** Element @p i, or a default T when its page is absent. */
+    const T &
+    operator[](std::uint64_t i) const
+    {
+        const T *e = find(i);
+        return e != nullptr ? *e : defaultValue();
+    }
+
+    /** Element @p i, or nullptr when its page is absent. */
+    T *
+    find(std::uint64_t i)
+    {
+        assert(i < count);
+        T *page = pages[i >> PageLg];
+        return page != nullptr ? page + (i & (kPageSize - 1)) : nullptr;
+    }
+
+    const T *
+    find(std::uint64_t i) const
+    {
+        return const_cast<PagedArray *>(this)->find(i);
+    }
+
+    /**
+     * Visit every element of every resident page as f(index, T&), in
+     * ascending index order. Absent pages are skipped.
+     */
+    template <typename F>
+    void
+    forEachResident(F &&f)
+    {
+        for (std::size_t p = 0; p < pages.size(); ++p) {
+            T *page = pages[p];
+            if (page == nullptr)
+                continue;
+            const std::uint64_t base = std::uint64_t(p) << PageLg;
+            const std::uint64_t n = std::min(kPageSize, count - base);
+            for (std::uint64_t j = 0; j < n; ++j)
+                f(base + j, page[j]);
+        }
+    }
+
+  private:
+    static const T &
+    defaultValue()
+    {
+        static const T value{};
+        return value;
+    }
+
+    /** Give pages [first, last) one contiguous block. */
+    void
+    allocate(std::size_t first, std::size_t last)
+    {
+        const std::uint64_t base = std::uint64_t(first) << PageLg;
+        const std::uint64_t n =
+            std::min(std::uint64_t(last - first) << PageLg, count - base);
+        blocks.push_back(std::make_unique<T[]>(n));
+        T *mem = blocks.back().get();
+        for (std::size_t p = first; p < last; ++p)
+            pages[p] = mem + ((std::uint64_t(p - first)) << PageLg);
+        resident += last - first;
+    }
+
+    [[gnu::noinline]] T *
+    materialize(std::size_t page)
+    {
+        allocate(page, page + 1);
+        return pages[page];
+    }
+
+    std::uint64_t count;
+    /** Per page: its first element, or nullptr while absent. */
+    std::vector<T *> pages;
+    /** Owning storage; one block per provision() run or touched page. */
+    std::vector<std::unique_ptr<T[]>> blocks;
+    std::size_t resident = 0;
 };
 
 } // namespace ddp::sim

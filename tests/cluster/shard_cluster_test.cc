@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -186,6 +187,82 @@ TEST(ShardCluster, RebalancedRunIsSeedDeterministic)
     EXPECT_EQ(a.shardMigrations, b.shardMigrations);
     EXPECT_EQ(a.shardTeamServed, b.shardTeamServed);
     EXPECT_EQ(a.messages, b.messages);
+}
+
+// --------------------------------------------------------------------------
+// Per-node state sized by ownership
+// --------------------------------------------------------------------------
+
+TEST(ShardCluster, KeyPagesCoverOnlyOwnedAndAcquiredRanges)
+{
+    ClusterConfig cfg = shardConfig(
+        {Consistency::Linearizable, Persistency::Synchronous}, 6, 3);
+    armRebalancing(cfg);
+    Cluster cluster(cfg);
+    const std::uint32_t team_size = cfg.numServers / cfg.numShards;
+
+    // Every range each team ever owned: its initial range, plus each
+    // range it acquired, seen by a read-only probe of the layout far
+    // more often than the distributor can move a range again.
+    std::vector<std::vector<shard::Range>> owned(cfg.numShards);
+    const sim::Tick end = cfg.warmup + cfg.measure;
+    std::function<void()> probe = [&] {
+        const shard::ShardLayout &l = cluster.shardLayout();
+        for (std::size_t i = 0; i < l.numRanges(); ++i)
+            owned[l.range(i).team].push_back(l.range(i));
+        if (cluster.now() < end)
+            cluster.queue().scheduleIn(5 * sim::kMicrosecond, probe);
+    };
+    cluster.queue().schedule(0, probe);
+    RunResult r = cluster.run();
+    ASSERT_GE(r.shardMigrations, 1u);
+
+    const std::uint64_t page = core::ProtocolNode::kKeyPageSize;
+    for (std::size_t n = 0; n < cluster.numNodes(); ++n) {
+        const shard::TeamId team =
+            static_cast<shard::TeamId>(n / team_size);
+        core::ProtocolNode &node = cluster.node(n);
+        std::size_t resident = 0;
+        for (std::size_t p = 0; p * page < cfg.keyCount; ++p) {
+            if (!node.keyPageResident(p))
+                continue;
+            ++resident;
+            // A resident page overlaps an owned range: pages inside
+            // it, or the one partial page at either end.
+            bool overlaps = false;
+            for (const shard::Range &a : owned[team])
+                overlaps |= p * page < a.hi && a.lo < (p + 1) * page;
+            EXPECT_TRUE(overlaps) << "node " << n << " page " << p;
+        }
+        EXPECT_EQ(resident, node.residentKeyPages());
+        // Everything the team owned from the start was provisioned.
+        const shard::Range &own = owned[team].front();
+        for (std::uint64_t k = own.lo; k < own.hi; k += page)
+            EXPECT_TRUE(node.keyPageResident(k / page))
+                << "node " << n << " key " << k;
+    }
+}
+
+TEST(ShardCluster, ConstReadOfUnownedKeyAllocatesNothing)
+{
+    ClusterConfig cfg = shardConfig(
+        {Consistency::Linearizable, Persistency::Synchronous}, 6, 3);
+    Cluster cluster(cfg);
+    // Team 0 owns [0, 667); key 1999 lies in team 2's range.
+    core::ProtocolNode &node = cluster.node(0);
+    const std::size_t before = node.residentKeyPages();
+    const net::KeyId foreign = cfg.keyCount - 1;
+    ASSERT_NE(cluster.shardLayout().teamFor(foreign), 0u);
+    ASSERT_FALSE(node.keyPageResident(
+        foreign / core::ProtocolNode::kKeyPageSize));
+    EXPECT_EQ(node.visibleVersion(foreign), net::Version{});
+    EXPECT_EQ(node.persistedVersion(foreign), net::Version{});
+    EXPECT_EQ(node.pendingInvalidation(foreign), net::Version{});
+    EXPECT_EQ(node.residentKeyPages(), before);
+    // A write does materialize the page.
+    node.installRecovered(foreign, net::Version{7, 0});
+    EXPECT_EQ(node.residentKeyPages(), before + 1);
+    EXPECT_EQ(node.visibleVersion(foreign), (net::Version{7, 0}));
 }
 
 // --------------------------------------------------------------------------

@@ -5,11 +5,136 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
+#include <set>
+#include <vector>
+
 #include "mem/cache.hh"
 #include "sim/ticks.hh"
 
 using namespace ddp::mem;
 using namespace ddp::sim;
+
+namespace {
+
+/**
+ * The dense directory SetAssocCache replaced: every set's ways
+ * allocated up front, the set index taken with a division. The lazy
+ * directory must be indistinguishable from it.
+ */
+class DenseReferenceCache
+{
+  public:
+    DenseReferenceCache(std::uint64_t capacity, std::uint32_t ways,
+                        std::uint32_t line_bytes, std::uint32_t ddio_ways)
+        : sets(static_cast<std::uint32_t>(
+              capacity / (std::uint64_t{ways} * line_bytes))),
+          ways(ways), lineBytes(line_bytes), ddioWays(ddio_ways),
+          lines(std::size_t{sets} * ways)
+    {
+    }
+
+    bool
+    access(std::uint64_t addr)
+    {
+        if (Line *l = find(addr)) {
+            l->stamp = ++stamp;
+            ++hits;
+            return true;
+        }
+        ++misses;
+        return false;
+    }
+
+    bool contains(std::uint64_t addr) { return find(addr) != nullptr; }
+    void insert(std::uint64_t addr) { install(addr, 0, ways); }
+
+    void
+    insertDdio(std::uint64_t addr)
+    {
+        if (ddioWays == 0)
+            insert(addr);
+        else
+            install(addr, ways - ddioWays, ways);
+    }
+
+    void
+    invalidate(std::uint64_t addr)
+    {
+        if (Line *l = find(addr))
+            l->stamp = 0;
+    }
+
+    void
+    clear()
+    {
+        for (Line &l : lines)
+            l.stamp = 0;
+    }
+
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+
+  private:
+    struct Line
+    {
+        std::uint64_t tag = 0;
+        std::uint64_t stamp = 0; // 0 = invalid
+    };
+
+    Line *
+    base(std::uint64_t line)
+    {
+        std::uint64_t h = line * 0x9e3779b97f4a7c15ULL;
+        std::uint32_t set = static_cast<std::uint32_t>((h >> 32) % sets);
+        return &lines[std::size_t{set} * ways];
+    }
+
+    Line *
+    find(std::uint64_t addr)
+    {
+        std::uint64_t line = addr / lineBytes;
+        Line *b = base(line);
+        for (std::uint32_t w = 0; w < ways; ++w)
+            if (b[w].stamp != 0 && b[w].tag == line)
+                return &b[w];
+        return nullptr;
+    }
+
+    void
+    install(std::uint64_t addr, std::uint32_t wb, std::uint32_t we)
+    {
+        std::uint64_t line = addr / lineBytes;
+        Line *b = base(line);
+        for (std::uint32_t w = 0; w < ways; ++w) {
+            if (b[w].stamp != 0 && b[w].tag == line) {
+                b[w].stamp = ++stamp;
+                return;
+            }
+        }
+        Line *victim = nullptr;
+        for (std::uint32_t w = wb; w < we; ++w) {
+            if (b[w].stamp == 0) {
+                victim = &b[w];
+                break;
+            }
+            if (!victim || b[w].stamp < victim->stamp)
+                victim = &b[w];
+        }
+        victim->tag = line;
+        victim->stamp = ++stamp;
+    }
+
+    std::uint32_t sets;
+    std::uint32_t ways;
+    std::uint32_t lineBytes;
+    std::uint32_t ddioWays;
+    std::vector<Line> lines;
+    std::uint64_t stamp = 0;
+};
+
+} // namespace
 
 TEST(SetAssocCache, MissThenHit)
 {
@@ -214,4 +339,145 @@ TEST(CacheHierarchy, CrashWipesVolatileContents)
     h.crash();
     auto r = h.access(0);
     EXPECT_FALSE(r.hit);
+}
+
+// Randomized differential test: the lazily materialized directory and
+// its fused miss path (access + fillMiss) against the dense reference,
+// over sparse and dense address mixes, with and without a DDIO
+// partition, on set counts that are and are not powers of two and
+// that span several way-block chunks.
+TEST(SetAssocCache, LazySetsMatchDenseReference)
+{
+    struct Shape
+    {
+        std::uint32_t sets;
+        std::uint32_t ways;
+    };
+    const Shape shapes[] = {{1, 4}, {8, 2}, {40, 4}, {640, 8}, {1024, 16}};
+    for (const Shape &shape : shapes) {
+        for (std::uint32_t ddio : {0u, 2u}) {
+            if (ddio >= shape.ways)
+                continue;
+            for (bool sparse : {true, false}) {
+                SCOPED_TRACE(::testing::Message()
+                             << shape.sets << " sets x " << shape.ways
+                             << " ways, ddio " << ddio
+                             << (sparse ? ", sparse" : ", dense"));
+                const std::uint64_t cap =
+                    std::uint64_t{shape.sets} * shape.ways * 64;
+                SetAssocCache lazy(cap, shape.ways, 64, ddio);
+                DenseReferenceCache ref(cap, shape.ways, 64, ddio);
+                ASSERT_EQ(lazy.numSets(), shape.sets);
+                std::mt19937_64 rng(shape.sets * 131 + ddio * 7 + sparse);
+                // Sparse: lines scattered over a space far larger than
+                // the cache. Dense: a pool of ~2x the capacity, so sets
+                // fill, evict and refresh constantly.
+                const std::uint64_t span =
+                    sparse ? (std::uint64_t{1} << 40)
+                           : std::uint64_t{shape.sets} * shape.ways * 2;
+                for (int i = 0; i < 20000; ++i) {
+                    std::uint64_t addr = (rng() % span) * 64 + rng() % 64;
+                    switch (rng() % 16) {
+                      case 0:
+                      case 1:
+                      case 2:
+                        lazy.insert(addr);
+                        ref.insert(addr);
+                        break;
+                      case 3:
+                      case 4:
+                        lazy.insertDdio(addr);
+                        ref.insertDdio(addr);
+                        break;
+                      case 5:
+                      case 6:
+                      case 7:
+                        ASSERT_EQ(lazy.access(addr), ref.access(addr));
+                        break;
+                      case 8:
+                      case 9:
+                      case 10: {
+                        // The hierarchy's miss path.
+                        SetAssocCache::Lookup at;
+                        bool hit = lazy.access(addr, at);
+                        ASSERT_EQ(hit, ref.access(addr));
+                        if (!hit) {
+                            lazy.fillMiss(at);
+                            ref.insert(addr);
+                        }
+                        break;
+                      }
+                      case 11:
+                      case 12:
+                        lazy.invalidate(addr);
+                        ref.invalidate(addr);
+                        break;
+                      case 13:
+                        if (rng() % 64 == 0) {
+                            lazy.clear();
+                            ref.clear();
+                        }
+                        break;
+                      default:
+                        ASSERT_EQ(lazy.contains(addr), ref.contains(addr));
+                        break;
+                    }
+                }
+                EXPECT_EQ(lazy.hits(), ref.hits);
+                EXPECT_EQ(lazy.misses(), ref.misses);
+                // Final contents agree line by line over the dense pool
+                // (sparse runs: over the lines the RNG would revisit).
+                for (std::uint64_t l = 0; l < 4096; ++l)
+                    ASSERT_EQ(lazy.contains(l * 64), ref.contains(l * 64))
+                        << "line " << l;
+            }
+        }
+    }
+}
+
+TEST(SetAssocCache, ResidentSetsTrackTouch)
+{
+    // The paper LLC: 40,960 sets, none resident until installed into.
+    SetAssocCache c(40ULL << 20, 16, 64, 2);
+    ASSERT_EQ(c.numSets(), 40960u);
+    EXPECT_EQ(c.residentSets(), 0u);
+
+    // Lookups and invalidations of untouched sets materialize nothing.
+    for (std::uint64_t l = 0; l < 1000; ++l) {
+        EXPECT_FALSE(c.access(l * 64));
+        EXPECT_FALSE(c.contains(l * 64));
+        c.invalidate(l * 64);
+    }
+    EXPECT_EQ(c.residentSets(), 0u);
+
+    // Installing into k distinct sets materializes exactly those k
+    // (the set index below is the directory's own hash).
+    std::set<std::uint64_t> touched;
+    for (std::uint64_t l = 0; l < 3000; ++l) {
+        if (l % 3 == 0)
+            c.insertDdio(l * 64);
+        else
+            c.insert(l * 64);
+        touched.insert(((l * 0x9e3779b97f4a7c15ULL) >> 32) % 40960);
+        ASSERT_EQ(c.residentSets(), touched.size()) << "line " << l;
+    }
+
+    // Re-inserting resident lines adds no set.
+    std::size_t before = c.residentSets();
+    for (std::uint64_t l = 0; l < 3000; ++l)
+        c.insert(l * 64);
+    EXPECT_EQ(c.residentSets(), before);
+
+    c.clear();
+    EXPECT_EQ(c.residentSets(), 0u);
+    EXPECT_FALSE(c.contains(0));
+    // Blocks reused after clear() come back empty.
+    c.insert(7 * 64);
+    EXPECT_EQ(c.residentSets(), 1u);
+    EXPECT_TRUE(c.contains(7 * 64));
+    for (std::uint64_t l = 0; l < 3000; ++l) {
+        if (l != 7) {
+            ASSERT_FALSE(c.contains(l * 64)) << "line " << l;
+        }
+    }
 }
